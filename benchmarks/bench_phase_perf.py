@@ -161,8 +161,8 @@ def run_scale(n: int, *, check_parallel: bool = False) -> dict:
     Xr, t_ref_feat, m_ref_feat = timed(
         lambda: reference_build_feature_matrix(job)
     )
-    featmat_bitwise = Xf.dtype == Xr.dtype and np.array_equal(Xf, Xr)
-    assert featmat_bitwise, f"feature matrices diverge at n={n}"
+    features_bitwise = Xf.dtype == Xr.dtype and np.array_equal(Xf, Xr)
+    assert features_bitwise, f"feature matrices diverge at n={n}"
 
     ipc = job.profile.ipc()
     (ids, _scores), t_select, m_select = timed(
@@ -244,7 +244,7 @@ def run_scale(n: int, *, check_parallel: bool = False) -> dict:
         "ref_total_s": round(ref_total, 4),
         "speedup": round(ref_total / fast_total, 2) if fast_total > 0 else None,
         "parity": {
-            "featmat_bitwise": featmat_bitwise,
+            "features_bitwise": features_bitwise,
             "k_equal": k_fast == k_ref,
             "assignments_bitwise": assignments_bitwise,
             "centers_bitwise": centers_bitwise,
@@ -284,7 +284,7 @@ def run_featurize_scale(n: int = SCALE_N) -> dict:
         },
         "select": {"shared_s": round(t_select, 4), "peak_kib": round(m_select, 1)},
         "sweep": None,  # max_points x n distances: infeasible at this n
-        "parity": {"featmat_bitwise": True},
+        "parity": {"features_bitwise": True},
     }
 
 

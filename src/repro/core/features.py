@@ -19,25 +19,18 @@ Featurization is CSR-style array code, not per-stack Python loops: the
 units' ``stack_ids``/``stack_counts`` are stacked into one flat
 (row, column, value) triplet stream and scattered into the matrix with
 a single ``np.add.at``, which keeps the accumulation order — and hence
-the float result — identical to the row-by-row formulation.  The
-assembled (space, matrix) pair can be cached in the content-addressed
-:class:`~repro.runtime.store.ArtifactStore`, keyed on the profile's
-content digest and the featurizer parameters, so repeat experiments on
-the same profile skip featurization entirely.
+the float result — identical to the row-by-row formulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.units import JobProfile, SamplingUnit
 from repro.jvm.methods import MethodRegistry, StackTable
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.store import ArtifactStore
 
 __all__ = [
     "FEATURIZER_VERSION",
@@ -48,8 +41,9 @@ __all__ = [
     "UnitFeaturizer",
 ]
 
-#: Bumped when the featurization arithmetic or the cached payload shape
-#: changes, so stale ``featmat`` store entries stop being served.
+#: Bumped when the featurization arithmetic or its output shape changes.
+#: It is part of the featurize stage's params, so bumping it re-keys
+#: every featurize entry and the phase fits downstream of it.
 FEATURIZER_VERSION = "v1"
 
 
@@ -232,35 +226,13 @@ class FeatureSpace:
 
     @staticmethod
     def fit(
-        job: JobProfile,
-        top_k: int = 100,
-        *,
-        store: "ArtifactStore | None" = None,
+        job: JobProfile, top_k: int = 100
     ) -> tuple["FeatureSpace", np.ndarray]:
         """Select the space from a training profile.
 
         Returns ``(space, X_selected)`` where ``X_selected`` is the
-        training matrix restricted to the selected methods.  With a
-        ``store``, the pair is served from (or written to) the
-        content-addressed artifact store under a key derived from the
-        profile's :meth:`~repro.core.units.JobProfile.content_digest`
-        and the featurizer parameters, so repeat experiments over the
-        same profile skip featurization and selection entirely.
+        training matrix restricted to the selected methods.
         """
-        if store is None:
-            return FeatureSpace._fit_impl(job, top_k)
-        params = {
-            "job_digest": job.content_digest(),
-            "top_k": top_k,
-            "featurizer": FEATURIZER_VERSION,
-        }
-        space, X = store.get_or_compute(
-            "featmat", params, lambda: FeatureSpace._fit_impl(job, top_k)
-        )
-        return space, X
-
-    @staticmethod
-    def _fit_impl(job: JobProfile, top_k: int) -> tuple["FeatureSpace", np.ndarray]:
         raw = build_feature_matrix(job, normalize=False)
         totals = raw.sum(axis=1, keepdims=True)
         X = np.divide(raw, np.where(totals > 0, totals, 1.0))

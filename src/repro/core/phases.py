@@ -11,7 +11,7 @@ test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -20,9 +20,6 @@ from repro.core.features import FeatureSpace, UnitFeaturizer
 from repro.core.units import JobProfile, SamplingUnit
 from repro.jvm.methods import MethodRegistry, StackTable
 from repro.runtime.instrument import stage_timer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.store import ArtifactStore
 
 __all__ = ["PhaseStats", "PhaseModel"]
 
@@ -83,7 +80,6 @@ class PhaseModel:
         seed: int = 0,
         projection_dims: int | None = None,
         jobs: int | None = None,
-        store: "ArtifactStore | None" = None,
         features: "tuple[FeatureSpace, np.ndarray] | None" = None,
     ) -> "PhaseModel":
         """Phase formation: vectorise, select features, cluster.
@@ -91,19 +87,18 @@ class PhaseModel:
         ``projection_dims`` enables the SimPoint-style random projection
         before clustering (an ablation variant; None = off).  ``jobs``
         parallelises the silhouette k-sweep (``None`` = the
-        ``SIMPROF_JOBS`` default); ``store`` enables the feature-matrix
-        cache; ``features`` supplies a precomputed
+        ``SIMPROF_JOBS`` default); ``features`` supplies a precomputed
         ``FeatureSpace.fit(job, top_k)`` pair (the provenance graph's
-        featurize stage) instead of fitting one here.  None of the
-        three affects the fitted model: the result is bit-identical
-        whatever the worker count or cache state.
+        featurize stage, which books the ``feature-selection`` time)
+        instead of fitting one here.  Neither affects the fitted model:
+        the result is bit-identical whatever the worker count.
         """
-        with stage_timer("feature-selection") as rec:
-            if features is None:
-                space, X = FeatureSpace.fit(job, top_k=top_k, store=store)
-            else:
-                space, X = features
-            rec.add(features=space.n_features)
+        if features is None:
+            with stage_timer("feature-selection") as rec:
+                space, X = FeatureSpace.fit(job, top_k=top_k)
+                rec.add(features=space.n_features)
+        else:
+            space, X = features
         if space.n_features == 0:
             # No method correlates with performance: the whole run is
             # one phase (the grep case).

@@ -13,9 +13,8 @@ The one-stop entry point a user of the library needs (Figure 2):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -25,22 +24,16 @@ from repro.core.phases import PhaseModel, PhaseStats
 from repro.core.profiler import (
     ProfilerConfig,
     ProfilerSession,
-    SimProfProfiler,
     StreamingProfiler,
+    profile_trace,
 )
-from repro.core.sampling import (
-    StratifiedEstimate,
-    required_sample_size,
-    stratified_sample,
-)
+from repro.core.sampling import StratifiedEstimate, phase_sample_size
+from repro.core.sampling import select_points as _select_points
 from repro.core.sensitivity import InputSensitivityResult, input_sensitivity_test
 from repro.core.units import JobProfile, SamplingUnit
 from repro.jvm.job import JobTrace
 from repro.jvm.stream import TraceStream
 from repro.runtime.instrument import ThroughputMeter, stage_timer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.store import ArtifactStore
 
 __all__ = ["ClassifySession", "SimProfConfig", "SimProfResult", "SimProf"]
 
@@ -115,11 +108,7 @@ class SimProf:
 
     def profile(self, trace: JobTrace, thread_id: int | None = None) -> JobProfile:
         """Stage 1: thread profiling."""
-        profiler = SimProfProfiler(self.config.profiler_config(thread_id))
-        with stage_timer("profiling") as rec:
-            job = profiler.profile(trace)
-            rec.add(units=job.n_units)
-        return job
+        return profile_trace(trace, self.config.profiler_config(thread_id))
 
     def profile_stream(
         self,
@@ -150,25 +139,14 @@ class SimProf:
         return job
 
     def form_phases(
-        self,
-        job: JobProfile,
-        *,
-        jobs: int | None = None,
-        store: "ArtifactStore | None" = None,
+        self, job: JobProfile, *, jobs: int | None = None
     ) -> PhaseModel:
         """Stage 2: phase formation.
 
         ``jobs`` parallelises the silhouette k-sweep (``None`` defers to
-        ``SIMPROF_JOBS``); ``store`` caches the assembled feature matrix
-        in the artifact store, keyed on the profile's content digest.
-        When ``SIMPROF_FEATURE_CACHE=1`` is set and no store is given,
-        the default store is used.  Both knobs are pure accelerators:
-        the fitted model is bit-identical with or without them.
+        ``SIMPROF_JOBS``); the fitted model is bit-identical whatever
+        the worker count.
         """
-        if store is None and os.environ.get("SIMPROF_FEATURE_CACHE") == "1":
-            from repro.runtime.store import default_store
-
-            store = default_store()
         return PhaseModel.fit(
             job,
             top_k=self.config.top_k_methods,
@@ -176,7 +154,6 @@ class SimProf:
             score_threshold=self.config.silhouette_threshold,
             seed=self.config.seed,
             jobs=jobs,
-            store=store,
         )
 
     def select_points(
@@ -189,14 +166,7 @@ class SimProf:
     ) -> StratifiedEstimate:
         """Stage 3: phase sampling (stratified, optimal allocation)."""
         rng = rng or np.random.default_rng(self.config.seed)
-        cpi = job.profile.cpi()
-        n = max(min(n_points, len(cpi)), model.k)
-        with stage_timer("sampling") as rec:
-            est = stratified_sample(
-                model.assignments, cpi, n, rng=rng, k=model.k
-            )
-            rec.add(points=len(est.selected))
-        return est
+        return _select_points(job, model, n_points, rng=rng)
 
     def input_sensitivity(
         self,
@@ -302,15 +272,8 @@ class SimProf:
         confidence: float = 0.997,
     ) -> int:
         """Figure 8: points needed for a target error bound."""
-        stats = model.phase_stats(job.profile.cpi())
-        sizes = np.array([s.n_units for s in stats], dtype=np.float64)
-        stds = np.array([s.cpi_std for s in stats])
-        return required_sample_size(
-            sizes,
-            stds,
-            job.oracle_cpi(),
-            relative_error=relative_error,
-            confidence=confidence,
+        return phase_sample_size(
+            job, model, relative_error=relative_error, confidence=confidence
         )
 
 

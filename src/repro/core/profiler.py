@@ -46,7 +46,7 @@ from repro.jvm.stream import (
     TraceStream,
 )
 from repro.jvm.threads import ThreadTrace
-from repro.runtime.instrument import ThroughputMeter
+from repro.runtime.instrument import ThroughputMeter, stage_timer
 from repro.runtime.snapshot import restore_rng, rng_state
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "ProfilerSession",
     "SimProfProfiler",
     "StreamingProfiler",
+    "profile_trace",
 ]
 
 
@@ -166,6 +167,15 @@ class SimProfProfiler:
     def profile_stream(self, stream: TraceStream, **kwargs: Any) -> JobProfile:
         """Profile a live trace stream (see :class:`StreamingProfiler`)."""
         return StreamingProfiler(self.config).consume(stream, **kwargs)
+
+
+def profile_trace(trace: JobTrace, config: ProfilerConfig) -> JobProfile:
+    """Stage 1: profile a job trace's configured (default: busiest) thread."""
+    profiler = SimProfProfiler(config)
+    with stage_timer("profiling") as rec:
+        job = profiler.profile(trace)
+        rec.add(units=job.n_units)
+    return job
 
 
 class _UnitCutter:

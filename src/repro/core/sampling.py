@@ -18,12 +18,17 @@ how the Figure 8 sample sizes are produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 from scipy import stats
 
+from repro.runtime.instrument import stage_timer
+
 __all__ = [
     "optimal_allocation",
+    "phase_sample_size",
+    "select_points",
     "stratified_sample",
     "stratified_standard_error",
     "required_sample_size",
@@ -282,6 +287,43 @@ def stratified_sample(
         stratum_sizes=N_h,
         estimate=estimate,
         standard_error=se,
+    )
+
+
+def select_points(
+    job: Any, model: Any, n_points: int, *, rng: np.random.Generator
+) -> StratifiedEstimate:
+    """Stage 3: draw ``n_points`` simulation points over a phase model.
+
+    ``job`` is a :class:`~repro.core.units.JobProfile` and ``model`` its
+    :class:`~repro.core.phases.PhaseModel`.  The sample takes at least
+    one point per phase and at most one per unit.
+    """
+    cpi = job.profile.cpi()
+    n = max(min(n_points, len(cpi)), model.k)
+    with stage_timer("sampling") as rec:
+        est = stratified_sample(model.assignments, cpi, n, rng=rng, k=model.k)
+        rec.add(points=len(est.selected))
+    return est
+
+
+def phase_sample_size(
+    job: Any, model: Any, *, relative_error: float, confidence: float = 0.997
+) -> int:
+    """Figure 8: points needed for a target error over a phase model.
+
+    The stratified solver (Eq. 1 + 4) over the model's per-phase sizes
+    and CPI standard deviations, at the job's oracle mean CPI.
+    """
+    phases = model.phase_stats(job.profile.cpi())
+    sizes = np.array([s.n_units for s in phases], dtype=np.float64)
+    stds = np.array([s.cpi_std for s in phases])
+    return required_sample_size(
+        sizes,
+        stds,
+        job.oracle_cpi(),
+        relative_error=relative_error,
+        confidence=confidence,
     )
 
 

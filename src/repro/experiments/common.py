@@ -1,25 +1,21 @@
 """Shared infrastructure for the experiment drivers.
 
 Workload runs cost seconds each, and several figures need the same
-profiles, so profiles and phase models flow through the
-:mod:`repro.runtime` execution engine: a content-addressed artifact
-store (keys derived from the *full* configuration — no hand-listed
-knobs to go stale) plus a batch runner that fans cache misses out over a
-process pool when ``SIMPROF_JOBS`` asks for it.
+profiles, so everything flows through the **provenance graph**
+(:mod:`repro.runtime.provenance`): a content-addressed artifact store
+(keys derived from the stage's params, code and upstream keys — no
+hand-listed knobs to go stale) plus a runner that fans cache misses out
+over a process pool when ``SIMPROF_JOBS`` asks for it.
 
-``get_profile``/``get_model`` keep their historical signatures as thin
-wrappers over the engine so examples and benchmarks keep working;
-drivers that need many (workload, framework) pairs call
-``prefetch_models``/``prefetch_profiles`` first so the batch executes as
-one runner pass instead of a serial loop.
-
-The figure drivers themselves run through the **provenance graph**
-(:mod:`repro.runtime.provenance`): each driver declares a ``report``
-stage over the per-spec chains wired by :func:`model_inputs`, and
-:func:`run_report` executes the graph incrementally — a warm re-run
-after a code edit recomputes only the stages whose code closure
-changed.  This module is orchestration (excluded from stage closures):
-nothing here is an input to any figure's value.
+The figure drivers declare a ``report`` stage over the per-spec chains
+wired by :func:`model_inputs`, and :func:`run_report` executes the
+graph incrementally — a warm re-run after a code edit recomputes only
+the stages whose code closure changed.  ``get_profile``/``get_model``
+wire one spec's chain into a graph of its own and run it;
+``prefetch_models``/``prefetch_profiles`` wire many specs into one
+graph, so their misses fan out in a single pass and the per-spec calls
+that follow hit the store.  This module is orchestration (excluded from
+stage closures): nothing here is an input to any figure's value.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from repro.core.phases import PhaseModel
 from repro.core.pipeline import SimProf, SimProfConfig
 from repro.core.units import JobProfile
 from repro.runtime.provenance import StageGraph
-from repro.runtime.runner import ExperimentRunner, RunSpec
+from repro.runtime.runner import ExperimentRunner, GraphResult, RunSpec
 from repro.runtime.stages import spec_nodes
 from repro.runtime.store import STORE_VERSION
 
@@ -105,26 +101,35 @@ def make_spec(
     )
 
 
+def _run_chains(
+    specs: Iterable[RunSpec], want: str
+) -> tuple[GraphResult, list[dict[str, str]]]:
+    """Run every spec's chain as one graph; return it and each spec's nodes."""
+    graph = StageGraph("specs")
+    nodes = [spec_nodes(graph, spec, want=want) for spec in specs]
+    return ExperimentRunner().run_graph(graph), nodes
+
+
 def prefetch_models(
     pairs: Iterable[tuple[str, str]],
     cfg: ExperimentConfig,
     *,
     graph_name: str | None = None,
 ) -> None:
-    """Materialise profile + model artifacts for many pairs in one batch.
+    """Materialise profile + model artifacts for many pairs in one pass.
 
     With ``SIMPROF_JOBS`` > 1 the cache misses run in parallel; the
     subsequent ``get_model`` calls then hit the store.
     """
-    specs = [
-        make_spec(w, f, cfg, graph_name=graph_name) for w, f in pairs
-    ]
-    ExperimentRunner().run(specs, want="model")
+    _run_chains(
+        (make_spec(w, f, cfg, graph_name=graph_name) for w, f in pairs),
+        "model",
+    )
 
 
 def prefetch_profiles(specs: Iterable[RunSpec]) -> None:
-    """Materialise profile artifacts for pre-built specs in one batch."""
-    ExperimentRunner().run(list(specs), want="profile")
+    """Materialise profile artifacts for pre-built specs in one pass."""
+    _run_chains(specs, "profile")
 
 
 def model_inputs(
@@ -209,8 +214,8 @@ def get_profile(
         input_name=input_name,
         params=params,
     )
-    [result] = ExperimentRunner().run([spec], want="profile")
-    return result.job
+    result, [nodes] = _run_chains([spec], "profile")
+    return result[nodes["profile"]]
 
 
 def get_model(
@@ -225,9 +230,8 @@ def get_model(
     spec = make_spec(
         workload, framework, cfg, graph_name=graph_name, params=params
     )
-    [result] = ExperimentRunner().run([spec], want="model")
-    assert result.model is not None
-    return result.job, result.model
+    result, [nodes] = _run_chains([spec], "model")
+    return result[nodes["profile"]], result[nodes["model"]]
 
 
 def format_table(

@@ -16,7 +16,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.core.baselines import SecondSampler
-from repro.core.sampling import required_sample_size
+from repro.core.sampling import phase_sample_size
 from repro.experiments.common import (
     ExperimentConfig,
     all_label_pairs,
@@ -82,22 +82,6 @@ class Fig8Result:
         )
 
 
-def _simprof_sample_size(
-    job: Any, model: Any, *, relative_error: float, confidence: float
-) -> int:
-    """The stratified solver over the model's phase stats (Eq. 1 + 4)."""
-    stats = model.phase_stats(job.profile.cpi())
-    sizes = np.array([s.n_units for s in stats], dtype=np.float64)
-    stds = np.array([s.cpi_std for s in stats])
-    return required_sample_size(
-        sizes,
-        stds,
-        job.oracle_cpi(),
-        relative_error=relative_error,
-        confidence=confidence,
-    )
-
-
 @stage_fn("report")
 def _fig8_report(
     inputs: Mapping[str, Any], params: Mapping[str, Any]
@@ -108,10 +92,10 @@ def _fig8_report(
     for label in params["labels"]:
         job = inputs[f"job:{label}"]
         model = inputs[f"model:{label}"]
-        n5 = _simprof_sample_size(
+        n5 = phase_sample_size(
             job, model, relative_error=0.05, confidence=confidence
         )
-        n2 = _simprof_sample_size(
+        n2 = phase_sample_size(
             job, model, relative_error=0.02, confidence=confidence
         )
         second = SecondSampler(seconds=params["second_seconds"]).sample(job)

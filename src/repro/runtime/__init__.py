@@ -5,8 +5,8 @@ Three layers every experiment driver builds on:
 * :mod:`repro.runtime.store` — content-addressed artifact store with
   stable parameter hashing, atomic writes, versioned manifests and hit
   counters (``SIMPROF_CACHE_DIR`` sets the location);
-* :mod:`repro.runtime.runner` — batch execution of
-  :class:`~repro.runtime.runner.RunSpec` lists across a process pool
+* :mod:`repro.runtime.runner` — incremental execution of stage graphs
+  (:mod:`repro.runtime.provenance`) across a process pool
   (``SIMPROF_JOBS``), cache-aware and deterministic;
 * :mod:`repro.runtime.instrument` — per-stage timing/counter hooks
   threaded through the core pipeline and surfaced in manifests and
@@ -57,11 +57,9 @@ from repro.runtime.store import (
 
 _RUNNER_EXPORTS = (
     "ExperimentRunner",
-    "RunResult",
     "RunSpec",
     "RunnerError",
     "resolve_jobs",
-    "run_specs",
     "spec_stream",
 )
 

@@ -35,11 +35,8 @@ Vocabulary
     the external inputs it is allowed to read (enforced by analysis
     rule SPA013) and extra code roots beyond its own module.
 ``StageGraph`` / ``StageNode``
-    a named DAG of stage invocations; nodes carry parameters, named
-    upstream edges, and optional *publish aliases* — classic
-    ``(kind, params)`` store keys the node's value is also written
-    under so the per-spec ``get_profile``/``get_model`` paths
-    interoperate with graph-produced artifacts.
+    a named DAG of stage invocations; nodes carry parameters and named
+    upstream edges.
 ``plan_graph``
     resolves every node to its content-addressed key in topological
     order and classifies each miss (``new`` / ``params`` / ``code`` /
@@ -340,7 +337,6 @@ class StageNode:
     params: dict[str, Any] = field(default_factory=dict)
     deps: dict[str, str] = field(default_factory=dict)  # input -> node name
     code: tuple[str, ...] = ()  # extra code roots
-    publish: tuple[tuple[str, dict[str, Any]], ...] = ()
     reads: tuple[str, ...] = ()
 
 
@@ -359,14 +355,12 @@ class StageGraph:
         params: Mapping[str, Any] | None = None,
         deps: Mapping[str, str] | None = None,
         code: tuple[str, ...] = (),
-        publish: Iterable[tuple[str, Mapping[str, Any]]] = (),
     ) -> str:
         """Add a node; returns its name (for wiring downstream deps).
 
         ``fn`` is a :func:`stage_fn`-decorated callable (or its dotted
         reference); ``deps`` maps the function's input names to
-        upstream node names; ``publish`` lists classic ``(kind,
-        params)`` aliases the value is also stored under.
+        upstream node names.
         """
         if name in self.nodes:
             raise ValueError(f"duplicate stage node {name!r}")
@@ -384,7 +378,6 @@ class StageGraph:
             params=dict(params or {}),
             deps=dict(deps or {}),
             code=tuple(spec["code"]) + tuple(code),
-            publish=tuple((k, dict(p)) for k, p in publish),
             reads=tuple(spec["reads"]),
         )
         return name
@@ -565,18 +558,17 @@ def worker_payload(plan: NodePlan, store: ArtifactStore) -> dict[str, Any]:
         },
         "material": plan.material,
         "record": plan.record,
-        "publish": [[k, dict(p)] for k, p in plan.node.publish],
     }
 
 
-def execute_payload(payload: dict[str, Any]) -> str:
+def execute_payload(payload: dict[str, Any]) -> str | None:
     """Materialise one stage node into the store; return its key.
 
     The pool entry point of ``run_graph`` (module-level, picklable).
     Values never travel back over the pipe: the parent re-reads the
-    store, so serial and parallel executions are byte-identical.  The
-    node's value is also written under every publish alias so the
-    classic per-spec paths (``get_profile``/``get_model``) hit.
+    store, so serial and parallel executions are byte-identical.
+    Returns None, computing nothing, when an input entry fails to load
+    (the store has dropped it); ``run_graph`` then re-plans.
     """
     import time
 
@@ -584,47 +576,34 @@ def execute_payload(payload: dict[str, Any]) -> str:
 
     store = ArtifactStore(payload["store_root"])
     key = payload["key"]
-    value: Any = None
-    computed = False
-    if not store.contains(key):
+    if store.contains(key):
+        return key
+    try:
         inputs = {
             inp: store.get(dep_key)
             for inp, dep_key in sorted(payload["dep_keys"].items())
         }
-        fn = resolve_stage_fn(payload["fn"])
-        start = time.perf_counter()
-        with get_instrumentation().capture() as stage_delta:
-            value = fn(inputs, payload["params"])
-        elapsed = time.perf_counter() - start
-        store.put(
-            key,
-            value,
-            kind=STAGE_KIND,
-            params=payload["material"],
-            compute_seconds=elapsed,
-            stages={name: s.seconds for name, s in stage_delta.items()},
-            counters={
-                name: dict(s.counters)
-                for name, s in stage_delta.items()
-                if s.counters
-            },
-            provenance=payload["record"],
-        )
-        computed = True
-    for kind, params in payload["publish"]:
-        alias = store.key_for(kind, params)
-        if store.contains(alias):
-            continue
-        if not computed:
-            value = store.get(key)
-            computed = True
-        store.put(
-            alias,
-            value,
-            kind=kind,
-            params=params,
-            provenance=payload["record"],
-        )
+    except KeyError:
+        return None
+    fn = resolve_stage_fn(payload["fn"])
+    start = time.perf_counter()
+    with get_instrumentation().capture() as stage_delta:
+        value = fn(inputs, payload["params"])
+    elapsed = time.perf_counter() - start
+    store.put(
+        key,
+        value,
+        kind=STAGE_KIND,
+        params=payload["material"],
+        compute_seconds=elapsed,
+        stages={name: s.seconds for name, s in stage_delta.items()},
+        counters={
+            name: dict(s.counters)
+            for name, s in stage_delta.items()
+            if s.counters
+        },
+        provenance=payload["record"],
+    )
     return key
 
 

@@ -1,63 +1,53 @@
-"""Batch experiment runner.
+"""The experiment runner: one scheduler over the provenance graph.
 
-Turns a list of :class:`RunSpec`s (workload, framework, scale, seed,
-graph, params, SimProf knobs) into profiles and phase models through the
-artifact store, fanning the cache misses out across a
-``ProcessPoolExecutor`` when parallelism is enabled.
+:meth:`ExperimentRunner.run_graph` plans a
+:class:`~repro.runtime.provenance.StageGraph` against the artifact
+store and fans every ready cache miss out over :func:`map_tasks`.
+:class:`RunSpec` names one (workload, framework, scale, seed, graph,
+params, SimProf knobs) request; :mod:`repro.runtime.stages` wires its
+stage chain into a graph.
 
 Guarantees:
 
-* **cache-aware de-duplication** — structurally equal specs collapse to
-  one computation, and anything already in the store is never
-  recomputed;
-* **bounded retries with backoff** — a worker failure is retried up to
-  ``retries`` times (sleeping ``backoff * 2**attempt`` seconds between
-  attempts) before surfacing as :class:`RunnerError`; a broken pool
-  (OOM-killed worker, fork failure) degrades to in-process execution;
-* **timeouts with speculative re-execution** — a pool task that
-  exceeds ``timeout`` seconds is re-submitted to another worker
-  (running futures cannot be cancelled, but the store's atomic
-  content-addressed writes make duplicate materialisation harmless —
-  first writer wins, byte-identical either way);
-* **checkpoint/resume** — with ``checkpoint=<path>``, the runner
-  journals each completed dedupe key; a killed batch restarted with
-  the same checkpoint file skips straight past finished specs even if
-  the store was swept in between;
+* **incremental** — a node whose full provenance key is already in the
+  store is never recomputed, and structurally equal chains collapse to
+  one node;
+* **bounded retries with backoff** — a failing task is retried up to
+  ``retries`` times (sleeping ``backoff * 2**attempt`` seconds, with
+  deterministic jitter, between attempts) before surfacing as
+  :class:`RunnerError`; a broken pool (OOM-killed worker, fork failure)
+  degrades to in-process execution;
+* **self-healing** — a planned-cached entry that fails to load (the
+  store quarantines it) is re-planned and recomputed once;
 * **deterministic results** — workers only *materialise* artifacts into
-  the content-addressed store and return keys; the parent loads every
-  result from the store in input order, so serial and parallel runs
-  produce identical values.
+  the content-addressed store and return keys; values are read back
+  from the store, so serial and parallel runs produce identical bytes.
 
 Parallelism defaults to serial; set ``SIMPROF_JOBS`` (or pass ``jobs=``)
-to fan out.  Workers inherit ``SIMPROF_CACHE_DIR``, and the store's
+to fan out.  Workers open the store by its root, and the store's
 atomic unique-tempfile writes make concurrent materialisation safe.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping
 
-from repro.core.phases import PhaseModel
 from repro.core.pipeline import SimProf, SimProfConfig
 from repro.core.units import JobProfile
 from repro.runtime.store import ArtifactStore, default_store
 
 __all__ = [
     "RunSpec",
-    "RunResult",
     "GraphResult",
     "RunnerError",
     "ExperimentRunner",
     "resolve_jobs",
     "map_tasks",
-    "run_specs",
     "spec_stream",
 ]
 
@@ -109,10 +99,10 @@ def map_tasks(
 ) -> list[Any]:
     """Order-preserving parallel map with the runner's failure semantics.
 
-    The generic sibling of :meth:`ExperimentRunner.run` for pure
-    compute tasks that are not :class:`RunSpec`-shaped (the phase
-    k-sweep, batch scoring): ``fn`` must be a picklable module-level
-    callable and each item picklable.  Guarantees:
+    The executor under :meth:`ExperimentRunner.run_graph`, also used
+    directly by pure compute tasks (the phase k-sweep, batch scoring):
+    ``fn`` must be a picklable module-level callable and each item
+    picklable.  Guarantees:
 
     * results come back in input order, so serial (``jobs=1``) and
       parallel runs of a deterministic ``fn`` are byte-identical;
@@ -237,13 +227,6 @@ class RunSpec:
             "profiler": self.simprof.profiler_config(),
         }
 
-    def model_params(self) -> dict[str, Any]:
-        """Key material for the phase-model artifact: the *full* config."""
-        return {
-            "profile": self.profile_params(),
-            "simprof": self.simprof,
-        }
-
     def to_payload(self) -> dict[str, Any]:
         """Plain-dict form safe to ship to a pool worker."""
         return {
@@ -290,22 +273,6 @@ class RunSpec:
 
 
 @dataclass
-class RunResult:
-    """One spec's artifacts, in input order."""
-
-    spec: RunSpec
-    job: JobProfile
-    model: PhaseModel | None
-    profile_key: str
-    model_key: str | None
-    cached: bool
-
-    @property
-    def label(self) -> str:
-        return self.spec.label
-
-
-@dataclass
 class GraphResult:
     """Outcome of one :meth:`ExperimentRunner.run_graph` execution.
 
@@ -317,6 +284,8 @@ class GraphResult:
 
     store: ArtifactStore
     plans: list[Any]  # list[NodePlan]
+    # Re-plans and re-executes the graph; set by run_graph.
+    rerun: Callable[[], Any] | None = field(default=None, repr=False)
 
     def plan(self, name: str) -> Any:
         for plan in self.plans:
@@ -344,29 +313,19 @@ class GraphResult:
         return len(self.plans) - self.hits
 
     def __getitem__(self, name: str) -> Any:
-        return self.store.get(self.key(name))
+        key = self.key(name)
+        try:
+            return self.store.get(key)
+        except KeyError:
+            if self.rerun is None:
+                raise
+        # Planned cached but unreadable: the store has dropped the
+        # entry, so one re-plan misses it and recomputes it.
+        self.rerun()
+        return self.store.get(key)
 
 
 # -- computation (runs in the parent or in pool workers) ----------------------
-
-
-def _compute_profile(spec: RunSpec) -> JobProfile:
-    """Run the workload and profile its busiest thread (stages timed).
-
-    Expressed over the declared stage functions
-    (:mod:`repro.runtime.stages`) so the classic per-spec path and the
-    provenance graph compute values through identical code.
-    """
-    from repro.runtime.stages import (
-        stage_profile,
-        stage_trace_gen,
-        trace_params,
-    )
-
-    trace = stage_trace_gen({}, trace_params(spec))
-    return stage_profile(
-        {"trace": trace}, {"profiler": spec.simprof.profiler_config()}
-    )
 
 
 def spec_stream(spec: RunSpec):
@@ -399,7 +358,7 @@ def _compute_profile_stream(
     kill_after: int | None = None,
     replicate: Any | None = None,
 ) -> JobProfile:
-    """Streaming twin of :func:`_compute_profile` with checkpointing.
+    """Profile a spec off its live stream, with checkpointing.
 
     The job is profiled off a live stream under a
     :class:`~repro.runtime.checkpoint.CheckpointPolicy` keyed on the
@@ -463,115 +422,11 @@ def _compute_profile_stream(
     return job
 
 
-def _materialise(
-    spec: RunSpec,
-    want: str,
-    store: ArtifactStore,
-    *,
-    checkpoint_every: int | None = None,
-) -> tuple[str, str | None]:
-    """Ensure the spec's artifacts exist in the store; return their keys."""
-    profile_params = spec.profile_params()
-    if checkpoint_every is not None:
-        compute = lambda: _compute_profile_stream(  # noqa: E731
-            spec, store, checkpoint_every=checkpoint_every
-        )
-    else:
-        compute = lambda: _compute_profile(spec)  # noqa: E731
-    job = store.get_or_compute("profile", profile_params, compute)
-    profile_key = store.key_for("profile", profile_params)
-    model_key: str | None = None
-    if want == "model":
-        model_params = spec.model_params()
-        # Spec-level parallelism takes precedence: the phase-formation
-        # k-sweep runs serially here (jobs=1) so pool workers never nest
-        # process pools.  The assembled feature matrix is cached in the
-        # same store, keyed on the profile's content digest, so sweeps
-        # over clustering knobs skip featurization entirely.
-        store.get_or_compute(
-            "model",
-            model_params,
-            lambda: SimProf(spec.simprof).form_phases(job, jobs=1, store=store),
-        )
-        model_key = store.key_for("model", model_params)
-    return profile_key, model_key
-
-
-def _pool_worker(payload: dict[str, Any]) -> tuple[str, str | None]:
-    """Pool entry point: materialise into the (env-configured) store.
-
-    Returns only the store keys — values stay on disk, so the parent
-    reads identical bytes whether the work ran here or in-process.
-    """
-    spec = RunSpec.from_payload(payload)
-    return _materialise(
-        spec,
-        payload["want"],
-        default_store(),
-        checkpoint_every=payload.get("checkpoint_every"),
-    )
-
-
 # -- the runner ---------------------------------------------------------------
 
 
-class _Checkpoint:
-    """Journal of completed dedupe keys, atomically rewritten on mark.
-
-    Besides the ``done`` set, the journal records *in-flight* specs:
-    ``inflight`` maps each dedupe key currently being computed to the
-    stream-checkpoint job key its worker snapshots under (see
-    :mod:`repro.runtime.checkpoint`).  A batch killed mid-stream and
-    restarted with the same journal therefore knows exactly which
-    checkpoint chain each unfinished spec resumes from; ``mark``
-    retires the in-flight entry when the spec completes.
-
-    A corrupt or unreadable journal is treated as empty (the batch
-    restarts from the store's contents) rather than crashing a resume.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.done: set[str] = set()
-        self.inflight: dict[str, dict[str, Any]] = {}
-        if self.path.exists():
-            try:
-                data = json.loads(self.path.read_text(encoding="utf-8"))
-                self.done = {str(k) for k in data.get("done", ())}
-                self.inflight = {
-                    str(k): dict(v)
-                    for k, v in (data.get("inflight") or {}).items()
-                }
-            except (OSError, json.JSONDecodeError, AttributeError, TypeError):
-                self.done = set()
-                self.inflight = {}
-
-    def _write(self) -> None:
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        payload: dict[str, Any] = {"done": sorted(self.done)}
-        if self.inflight:
-            payload["inflight"] = {
-                k: self.inflight[k] for k in sorted(self.inflight)
-            }
-        tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        tmp.replace(self.path)
-
-    def mark(self, key: str) -> None:
-        if key in self.done and key not in self.inflight:
-            return
-        self.done.add(key)
-        self.inflight.pop(key, None)
-        self._write()
-
-    def mark_inflight(self, key: str, info: dict[str, Any]) -> None:
-        if key in self.done or self.inflight.get(key) == info:
-            return
-        self.inflight[key] = dict(info)
-        self._write()
-
-
 class ExperimentRunner:
-    """Executes batches of :class:`RunSpec` against one artifact store."""
+    """Executes stage graphs against one artifact store."""
 
     def __init__(
         self,
@@ -580,9 +435,6 @@ class ExperimentRunner:
         jobs: int | None = None,
         retries: int = 2,
         backoff: float = 0.0,
-        timeout: float | None = None,
-        checkpoint: str | Path | None = None,
-        checkpoint_every: int | None = None,
         seed: int = 0,
     ) -> None:
         self.store = store or default_store()
@@ -590,20 +442,8 @@ class ExperimentRunner:
         self.retries = max(0, int(retries))
         self.backoff = max(0.0, float(backoff))
         # Seeds the retry-backoff jitter (site "runner.backoff") — not
-        # any workload randomness, which lives in the specs themselves.
+        # any workload randomness, which lives in the graph's params.
         self.seed = int(seed)
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
-        self.timeout = timeout
-        self.checkpoint = _Checkpoint(checkpoint) if checkpoint else None
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1 (or None)")
-        # With checkpoint_every set, cache-miss profiles are computed off
-        # the streaming path under a CheckpointPolicy, so a worker killed
-        # mid-job resumes bit-identically on the next attempt (or on a
-        # replacement worker sharing the store).  None keeps the batch
-        # path with zero checkpoint overhead.
-        self.checkpoint_every = checkpoint_every
 
     def map_tasks(
         self,
@@ -625,8 +465,6 @@ class ExperimentRunner:
             initargs=initargs,
         )
 
-    # -- provenance-graph execution -------------------------------------------
-
     def plan_graph(self, graph: Any, *, code: Any | None = None) -> list[Any]:
         """Resolve a :class:`~repro.runtime.provenance.StageGraph` to
         per-node keys, lineage records and hit/miss causes (no
@@ -647,7 +485,27 @@ class ExperimentRunner:
         re-executed, which is the entire point: after a one-line edit
         to one estimator, only the stages whose code closure contains
         that module run again.
+
+        Cached entries are not hashed at plan time.  One that fails to
+        load as a stage input is dropped by the store; the graph is
+        then re-planned, so the entry misses, and run once more.
         """
+        plans = self._run(graph, code)
+        if plans is None:
+            plans = self._run(graph, code)
+            if plans is None:
+                raise RunnerError(
+                    f"stage graph {graph.name!r}: a cached input failed "
+                    "to load again after recomputing"
+                )
+        return GraphResult(
+            store=self.store,
+            plans=plans,
+            rerun=lambda: self._run(graph, code),
+        )
+
+    def _run(self, graph: Any, code: Any | None) -> list[Any] | None:
+        """Plan and execute once; None if a cached input was unreadable."""
         from repro.runtime.provenance import (
             execute_payload,
             record_graph_run,
@@ -657,7 +515,8 @@ class ExperimentRunner:
         plans = self.plan_graph(graph, code=code)
         completed = {p.name for p in plans if p.cached}
         pending = [p for p in plans if not p.cached]
-        while pending:
+        intact = True
+        while pending and intact:
             ready = [
                 p
                 for p in pending
@@ -666,245 +525,11 @@ class ExperimentRunner:
             if not ready:  # pragma: no cover - topo order precludes this
                 stuck = sorted(p.name for p in pending)
                 raise RunnerError(f"stage graph deadlock at {stuck}")
-            self.map_tasks(
+            keys = self.map_tasks(
                 execute_payload, [worker_payload(p, self.store) for p in ready]
             )
+            intact = None not in keys
             completed.update(p.name for p in ready)
             pending = [p for p in pending if p.name not in completed]
         record_graph_run(self.store, plans)
-        return GraphResult(store=self.store, plans=plans)
-
-    def _sleep_before_retry(self, attempt: int, *coords: int) -> None:
-        """Deterministically jittered backoff (attempt is 0-based)."""
-        _backoff_sleep(self.backoff, self.seed, attempt, *coords)
-
-    def _mark_done(self, key: str) -> None:
-        if self.checkpoint is not None:
-            self.checkpoint.mark(key)
-
-    # The dedupe identity of a spec is its (deepest) artifact key.
-    def _dedupe_key(self, spec: RunSpec, want: str) -> str:
-        if want == "model":
-            return self.store.key_for("model", spec.model_params())
-        return self.store.key_for("profile", spec.profile_params())
-
-    def _is_materialised(self, spec: RunSpec, want: str) -> bool:
-        profile_key = self.store.key_for("profile", spec.profile_params())
-        if not self.store.contains(profile_key):
-            return False
-        if want == "model":
-            return self.store.contains(
-                self.store.key_for("model", spec.model_params())
-            )
-        return True
-
-    def _run_inline(self, spec: RunSpec, want: str) -> None:
-        last: Exception | None = None
-        for attempt in range(self.retries + 1):
-            if attempt > 0:
-                self._sleep_before_retry(attempt - 1)
-            try:
-                _materialise(
-                    spec,
-                    want,
-                    self.store,
-                    checkpoint_every=self.checkpoint_every,
-                )
-                return
-            except Exception as exc:  # noqa: BLE001 - rewrapped below
-                last = exc
-        raise RunnerError(
-            f"spec {spec.label} failed after {self.retries + 1} attempts: {last}"
-        ) from last
-
-    def _run_pool(self, missing: dict[str, RunSpec], want: str) -> None:
-        attempts: dict[str, int] = {key: 0 for key in missing}
-        workers = min(self.jobs, len(missing))
-
-        def payload(key: str) -> dict[str, Any]:
-            return {
-                **missing[key].to_payload(),
-                "want": want,
-                "checkpoint_every": self.checkpoint_every,
-            }
-
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # One key may have several in-flight futures: a running
-                # future cannot be cancelled, so a timed-out spec gets a
-                # speculative twin instead — first completion wins, and
-                # the store's atomic content-addressed writes make the
-                # loser's materialisation a harmless duplicate.
-                futures: dict[str, list[Any]] = {
-                    key: [pool.submit(_pool_worker, payload(key))]
-                    for key in missing
-                }
-                started = {key: time.monotonic() for key in futures}
-                while futures:
-                    done, _pending = wait(
-                        [f for fs in futures.values() for f in fs],
-                        timeout=self.timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    now = time.monotonic()
-                    for key in list(futures):
-                        finished = [f for f in futures[key] if f in done]
-                        if finished:
-                            if any(f.exception() is None for f in finished):
-                                del futures[key]
-                                self._mark_done(key)
-                                continue
-                            for future in finished:
-                                futures[key].remove(future)
-                            exc = finished[-1].exception()
-                            if isinstance(exc, BrokenProcessPool):
-                                raise exc
-                            attempts[key] += len(finished)
-                            if attempts[key] > self.retries:
-                                spec = missing[key]
-                                raise RunnerError(
-                                    f"spec {spec.label} failed after "
-                                    f"{self.retries + 1} attempts: {exc}"
-                                ) from exc
-                            if not futures[key]:
-                                self._sleep_before_retry(attempts[key] - 1)
-                                futures[key] = [
-                                    pool.submit(_pool_worker, payload(key))
-                                ]
-                                started[key] = time.monotonic()
-                        elif (
-                            self.timeout is not None
-                            and now - started[key] > self.timeout
-                            and len(futures[key]) == 1
-                        ):
-                            # Straggler: speculatively re-execute on
-                            # another worker (at most one twin per key).
-                            futures[key].append(
-                                pool.submit(_pool_worker, payload(key))
-                            )
-        except BrokenProcessPool:
-            # A worker died hard (OOM, signal).  Finish what is left
-            # in-process rather than losing the batch.
-            for spec in missing.values():
-                if not self._is_materialised(spec, want):
-                    self._run_inline(spec, want)
-
-    def _load(self, key: str, spec: RunSpec, want: str) -> Any:
-        """Load an artifact, rematerialising if the entry turned out corrupt.
-
-        ``contains`` only checks existence; a torn or stale-format entry
-        surfaces as ``KeyError`` at load time (the store drops it), so
-        one inline recompute heals the cache.
-        """
-        try:
-            return self.store.get(key)
-        except KeyError:
-            self._run_inline(spec, want)
-            return self.store.get(key)
-
-    def run(
-        self, specs: Iterable[RunSpec], *, want: str = "model"
-    ) -> list[RunResult]:
-        """Materialise every spec and return results in input order.
-
-        ``want`` is ``"model"`` (profile + fitted phase model) or
-        ``"profile"``.
-        """
-        if want not in ("profile", "model"):
-            raise ValueError(f"want must be 'profile' or 'model', got {want!r}")
-        ordered: Sequence[RunSpec] = list(specs)
-
-        unique: dict[str, RunSpec] = {}
-        cached: dict[str, bool] = {}
-        for spec in ordered:
-            key = self._dedupe_key(spec, want)
-            if key not in unique:
-                unique[key] = spec
-                cached[key] = self._is_materialised(spec, want)
-
-        # A checkpoint journal lets a killed batch resume: keys it lists
-        # are skipped here, and any that the store lost since are healed
-        # lazily by ``_load``'s recompute path.
-        done_keys = self.checkpoint.done if self.checkpoint is not None else set()
-        missing = {
-            k: s for k, s in unique.items() if not cached[k] and k not in done_keys
-        }
-        if missing and self.checkpoint is not None and self.checkpoint_every:
-            # Journal where each unfinished spec's stream checkpoints
-            # live, so a killed batch restarted with this journal can be
-            # audited (``simprof cache checkpoints``) and resumes from
-            # the recorded chains.
-            from repro.runtime.checkpoint import checkpoint_job_key
-
-            for key, spec in missing.items():
-                self.checkpoint.mark_inflight(
-                    key,
-                    {
-                        "job_key": checkpoint_job_key(spec.profile_params()),
-                        "label": spec.label,
-                    },
-                )
-        if missing:
-            if self.jobs > 1 and len(missing) > 1:
-                self._run_pool(missing, want)
-                # Workers wrote to disk; anything a broken pool left
-                # behind was finished inline by _run_pool.
-                for key, spec in missing.items():
-                    if not self._is_materialised(spec, want):
-                        self._run_inline(spec, want)
-                    self._mark_done(key)
-            else:
-                for key, spec in missing.items():
-                    self._run_inline(spec, want)
-                    self._mark_done(key)
-        if self.checkpoint is not None:
-            for key in unique:
-                self._mark_done(key)
-
-        results: list[RunResult] = []
-        for spec in ordered:
-            profile_key = self.store.key_for("profile", spec.profile_params())
-            job = self._load(profile_key, spec, want)
-            model = None
-            model_key = None
-            if want == "model":
-                model_key = self.store.key_for("model", spec.model_params())
-                model = self._load(model_key, spec, want)
-            results.append(
-                RunResult(
-                    spec=spec,
-                    job=job,
-                    model=model,
-                    profile_key=profile_key,
-                    model_key=model_key,
-                    cached=cached[self._dedupe_key(spec, want)],
-                )
-            )
-        return results
-
-
-def run_specs(
-    specs: Iterable[RunSpec],
-    *,
-    want: str = "model",
-    jobs: int | None = None,
-    store: ArtifactStore | None = None,
-    retries: int = 2,
-    backoff: float = 0.0,
-    timeout: float | None = None,
-    checkpoint: str | Path | None = None,
-    checkpoint_every: int | None = None,
-    seed: int = 0,
-) -> list[RunResult]:
-    """Convenience wrapper: run a batch against the default store."""
-    runner = ExperimentRunner(
-        store,
-        jobs=jobs,
-        retries=retries,
-        backoff=backoff,
-        timeout=timeout,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
-        seed=seed,
-    )
-    return runner.run(specs, want=want)
+        return plans if intact else None

@@ -13,10 +13,9 @@ orchestration (excluded from closures); the ``code=`` declarations on
 each stage name what actually computes the value.
 
 :func:`spec_nodes` wires the chain for one :class:`RunSpec` into a
-:class:`~repro.runtime.provenance.StageGraph`, publishing the classic
-``("profile", …)`` / ``("model", …)`` aliases so per-spec callers
-(``get_profile``/``get_model``, the batch runner) hit artifacts the
-graph produced and vice versa.
+:class:`~repro.runtime.provenance.StageGraph`; the figure graphs and
+the per-spec ``get_profile``/``get_model`` helpers share its nodes, so
+each hits what the other produced.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from typing import Any, Mapping
 from repro.runtime.instrument import stage_timer
 from repro.runtime.provenance import StageGraph, stage_fn
 from repro.runtime.runner import RunSpec
+from repro.runtime.store import stable_hash
 
 __all__ = [
     "stage_trace_gen",
@@ -67,13 +67,9 @@ def stage_trace_gen(
 @stage_fn("profile", code=("repro.core.profiler",))
 def stage_profile(inputs: Mapping[str, Any], params: Mapping[str, Any]) -> Any:
     """Profile the trace's busiest thread into per-unit vectors."""
-    from repro.core.profiler import SimProfProfiler
+    from repro.core.profiler import profile_trace
 
-    profiler = SimProfProfiler(params["profiler"])
-    with stage_timer("profiling") as rec:
-        job = profiler.profile(inputs["trace"])
-        rec.add(units=job.n_units)
-    return job
+    return profile_trace(inputs["trace"], params["profiler"])
 
 
 @stage_fn("featurize", code=("repro.core.features",))
@@ -116,28 +112,30 @@ def stage_estimate(
     """Stratified point selection with optimal allocation."""
     import numpy as np
 
-    from repro.core.sampling import stratified_sample
+    from repro.core.sampling import select_points
 
-    job = inputs["job"]
-    model = inputs["model"]
-    cpi = job.profile.cpi()
-    n = max(min(params["n_points"], len(cpi)), model.k)
     # The seed IS a parameter — it arrives via the stage's params
     # mapping (spec.simprof.seed), which the provenance key hashes.
     rng = np.random.default_rng(params["seed"])  # simprof: ignore[SPA003] -- seeded from stage params, part of the cache key
-    with stage_timer("sampling") as rec:
-        est = stratified_sample(model.assignments, cpi, n, rng=rng, k=model.k)
-        rec.add(points=len(est.selected))
-    return est
+    return select_points(
+        inputs["job"], inputs["model"], params["n_points"], rng=rng
+    )
 
 
 # -- per-spec wiring ----------------------------------------------------------
 
 
 def spec_label(spec: RunSpec) -> str:
-    """Graph-unique display label for one spec's node chain."""
+    """Graph-unique display label for one spec's node chain.
+
+    Workload params (e.g. a text input's ``zipf_s``) add a short digest,
+    so reference inputs of one workload get chains of their own.
+    """
     suffix = spec.input_name or spec.graph_name
-    return f"{spec.label}@{suffix}" if suffix else spec.label
+    label = f"{spec.label}@{suffix}" if suffix else spec.label
+    if spec.params:
+        label += f"+{stable_hash(dict(spec.params))[:8]}"
+    return label
 
 
 def trace_params(spec: RunSpec) -> dict[str, Any]:
@@ -193,6 +191,8 @@ def spec_nodes(
     ``n_points`` is given.  Chains already present (another figure
     shares the spec) are reused.
     """
+    if want not in ("profile", "model"):
+        raise ValueError(f"want must be 'profile' or 'model', got {want!r}")
     label = spec_label(spec)
     cfg = spec.simprof
     trace = _ensure(
@@ -207,7 +207,6 @@ def spec_nodes(
         stage_profile,
         params={"profiler": cfg.profiler_config()},
         deps={"trace": trace},
-        publish=[("profile", spec.profile_params())],
     )
     nodes = {"trace": trace, "profile": profile}
     if want == "model":
@@ -234,7 +233,6 @@ def spec_nodes(
                 "seed": cfg.seed,
             },
             deps={"job": profile, "features": features},
-            publish=[("model", spec.model_params())],
         )
         nodes.update(features=features, model=model)
         if n_points is not None:

@@ -1,10 +1,10 @@
 """Unit tests for the experiment-facing cache wrappers.
 
 The heavy lifting (hashing, atomicity, parallelism) is covered by
-``tests/runtime``; these tests pin the behaviour of the thin
-``get_profile``/``get_model`` wrappers, including regression tests for
-the historical cache-key bugs (missing ``simprof.seed``, nested-dict
-order sensitivity).
+``tests/runtime``; these tests pin the behaviour of the
+``get_profile``/``get_model`` helpers over the stage graph, including
+regression tests for the historical cache-key bugs (missing
+``simprof.seed``, nested-dict order sensitivity).
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from repro.experiments.common import (
     get_profile,
     make_spec,
 )
+from repro.runtime.provenance import StageGraph
+from repro.runtime.runner import ExperimentRunner
+from repro.runtime.stages import spec_nodes
 from repro.runtime.store import default_store, reset_default_stores
 
 SMALL = ExperimentConfig(
@@ -36,6 +39,23 @@ def isolated_cache(tmp_path, monkeypatch):
     reset_default_stores()
     yield
     reset_default_stores()
+
+
+def _stage_pkls(stage: str) -> list:
+    """Payload files of the default store's entries of one stage."""
+    store = default_store()
+    return [
+        store.root / f"{m.key}.pkl"
+        for m in store.entries()
+        if m.kind == "stage" and m.provenance["stage"] == stage
+    ]
+
+
+def _model_key(cfg: ExperimentConfig) -> str:
+    graph = StageGraph("keys")
+    nodes = spec_nodes(graph, make_spec("grep", "spark", cfg))
+    plans = ExperimentRunner(default_store()).plan_graph(graph)
+    return next(p.key for p in plans if p.name == nodes["model"])
 
 
 class TestLabels:
@@ -61,7 +81,7 @@ class TestFormatTable:
 class TestCaching:
     def test_profile_cached_on_disk(self, tmp_path):
         p1 = get_profile("grep", "spark", SMALL)
-        assert len(list(tmp_path.glob("profile-*.pkl"))) == 1
+        assert len(_stage_pkls("profile")) == 1
         # Second call from a cleared memory tier hits the disk.
         default_store().clear_memory()
         p2 = get_profile("grep", "spark", SMALL)
@@ -71,9 +91,11 @@ class TestCaching:
 
     def test_model_cached(self, tmp_path):
         job, model = get_model("grep", "spark", SMALL)
-        assert len(list(tmp_path.glob("model-*.pkl"))) == 1
+        assert len(_stage_pkls("phase-fit")) == 1
+        misses = default_store().stats.misses
         _job2, model2 = get_model("grep", "spark", SMALL)
         assert model2.k == model.k
+        assert default_store().stats.misses == misses
 
     def test_distinct_keys_for_distinct_params(self, tmp_path):
         get_profile("grep", "spark", SMALL)
@@ -83,15 +105,15 @@ class TestCaching:
             simprof=SMALL.simprof,
         )
         get_profile("grep", "spark", other)
-        assert len(list(tmp_path.glob("profile-*.pkl"))) == 2
+        assert len(_stage_pkls("profile")) == 2
 
     def test_corrupt_cache_entry_recomputed(self, tmp_path):
-        get_profile("grep", "spark", SMALL)
-        entry = next(tmp_path.glob("profile-*.pkl"))
+        want = get_profile("grep", "spark", SMALL).content_digest()
+        [entry] = _stage_pkls("profile")
         entry.write_bytes(b"not a pickle")
         default_store().clear_memory()
         p = get_profile("grep", "spark", SMALL)
-        assert p.n_units > 0
+        assert p.content_digest() == want
 
     def test_simprof_seed_in_profile_key(self, tmp_path):
         """Regression: changing only ``simprof.seed`` must miss the cache.
@@ -108,10 +130,9 @@ class TestCaching:
             ),
         )
         get_profile("grep", "spark", reseeded)
-        assert len(list(tmp_path.glob("profile-*.pkl"))) == 2
+        assert len(_stage_pkls("profile")) == 2
 
     def test_simprof_seed_in_model_key(self):
-        spec0 = make_spec("grep", "spark", SMALL)
         reseeded = ExperimentConfig(
             scale=SMALL.scale,
             n_sampling_draws=SMALL.n_sampling_draws,
@@ -119,11 +140,7 @@ class TestCaching:
                 unit_size=10_000_000, snapshot_period=500_000, seed=1
             ),
         )
-        spec1 = make_spec("grep", "spark", reseeded)
-        store = default_store()
-        assert store.key_for("model", spec0.model_params()) != store.key_for(
-            "model", spec1.model_params()
-        )
+        assert _model_key(SMALL) != _model_key(reseeded)
 
     def test_nested_params_order_insensitive(self, tmp_path):
         """Regression: nested dict key order must not fragment the cache."""
@@ -133,4 +150,4 @@ class TestCaching:
         get_profile(
             "wc", "spark", SMALL, params={"b": 3, "a": {"y": 2, "x": 1}}
         )
-        assert len(list(tmp_path.glob("profile-*.pkl"))) == 1
+        assert len(_stage_pkls("profile")) == 1

@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.core.pipeline import SimProfConfig
 from repro.experiments.common import ExperimentConfig, get_profile
-from repro.runtime.store import reset_default_stores
+from repro.runtime.store import ArtifactStore, reset_default_stores
 
 SMALL = ExperimentConfig(
     scale=0.05,
@@ -30,11 +30,25 @@ def populated(tmp_path):
     return tmp_path
 
 
+def _stage_key(root, stage: str = "profile") -> str:
+    """Store key of the one entry of a pipeline stage under ``root``."""
+    [key] = [
+        m.key
+        for m in ArtifactStore(root).entries()
+        if m.kind == "stage" and m.provenance["stage"] == stage
+    ]
+    return key
+
+
+def _n_entries(root) -> int:
+    return len(list(root.glob("*.pkl")))
+
+
 class TestCacheLs:
     def test_lists_entries(self, populated, capsys):
         assert main(["cache", "ls"]) == 0
         out = capsys.readouterr().out
-        assert "profile-" in out
+        assert _stage_key(populated) in out
         assert str(populated) in out
 
     def test_kind_filter(self, populated, capsys):
@@ -45,10 +59,10 @@ class TestCacheLs:
 
 class TestCacheInfo:
     def test_shows_manifest(self, populated, capsys):
-        key = next(populated.glob("profile-*.pkl")).stem
+        key = _stage_key(populated, "trace-gen")
         assert main(["cache", "info", key]) == 0
         out = capsys.readouterr().out
-        assert '"kind": "profile"' in out
+        assert '"kind": "stage"' in out
         assert '"workload": "grep"' in out
 
     def test_unknown_key_fails(self, capsys):
@@ -62,36 +76,41 @@ class TestCacheGC:
         assert "--stale" in capsys.readouterr().err
 
     def test_dry_run_keeps_entries(self, populated, capsys):
+        n = _n_entries(populated)
         assert main(["cache", "gc", "--all", "--dry-run"]) == 0
-        assert "would remove 1" in capsys.readouterr().out
-        assert len(list(populated.glob("*.pkl"))) == 1
+        assert f"would remove {n}" in capsys.readouterr().out
+        assert _n_entries(populated) == n
 
     def test_gc_all_removes(self, populated, capsys):
+        n = _n_entries(populated)
         assert main(["cache", "gc", "--all"]) == 0
-        assert "removed 1" in capsys.readouterr().out
+        assert f"removed {n}" in capsys.readouterr().out
         assert not list(populated.glob("*.pkl"))
 
 
 class TestCacheVerify:
     def test_clean_store_passes(self, populated, capsys):
+        n = _n_entries(populated)
         assert main(["cache", "verify"]) == 0
         out = capsys.readouterr().out
-        assert "1 ok, 0 corrupt, 0 unverified" in out
+        assert f"{n} ok, 0 corrupt, 0 unverified" in out
 
     def test_corrupt_payload_detected(self, populated, capsys):
-        next(populated.glob("profile-*.pkl")).write_bytes(b"bit rot")
+        n = _n_entries(populated)
+        (populated / f"{_stage_key(populated)}.pkl").write_bytes(b"bit rot")
         assert main(["cache", "verify"]) == 1
         out = capsys.readouterr().out
         assert "CORRUPT" in out
-        assert "0 ok, 1 corrupt, 0 unverified" in out
+        assert f"{n - 1} ok, 1 corrupt, 0 unverified" in out
 
     def test_repair_quarantines(self, populated, capsys):
-        next(populated.glob("profile-*.pkl")).write_bytes(b"bit rot")
+        key = _stage_key(populated)
+        (populated / f"{key}.pkl").write_bytes(b"bit rot")
         assert main(["cache", "verify", "--repair"]) == 0
         out = capsys.readouterr().out
         assert "quarantined" in out
-        assert not list(populated.glob("profile-*.pkl"))
-        assert list((populated / "quarantine").glob("profile-*.pkl"))
+        assert not (populated / f"{key}.pkl").exists()
+        assert (populated / "quarantine" / f"{key}.pkl").exists()
         # The store is clean again after the repair.
         assert main(["cache", "verify"]) == 0
 
@@ -99,14 +118,17 @@ class TestCacheVerify:
 class TestCorruptManifestTolerance:
     """``ls`` and ``stats`` must warn, not traceback (regression)."""
 
-    def _corrupt_manifest(self, root):
-        next(root.glob("profile-*.json")).write_text("{torn write")
+    def _corrupt_manifest(self, root) -> str:
+        key = _stage_key(root)
+        (root / f"{key}.json").write_text("{torn write")
+        return key
 
     def test_cache_ls_warns_and_continues(self, populated, capsys):
+        intact = _stage_key(populated, "trace-gen")
         self._corrupt_manifest(populated)
         assert main(["cache", "ls"]) == 0
         captured = capsys.readouterr()
-        assert "profile-" in captured.out
+        assert intact in captured.out
         assert "1 corrupt manifest(s)" in captured.err
 
     def test_stats_warns_and_continues(self, populated, capsys):
@@ -117,8 +139,7 @@ class TestCorruptManifestTolerance:
         assert "1 corrupt manifest(s)" in captured.err
 
     def test_cache_info_reports_status(self, populated, capsys):
-        self._corrupt_manifest(populated)
-        key = next(populated.glob("profile-*.pkl")).stem
+        key = self._corrupt_manifest(populated)
         assert main(["cache", "info", key]) == 1
         assert "corrupt" in capsys.readouterr().err
 

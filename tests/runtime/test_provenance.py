@@ -5,8 +5,8 @@ introspection) run against tiny synthetic stage functions defined in
 this module — no workload simulation involved — plus a fake ``repro``
 source tree under ``tmp_path`` for code-fingerprint tests.  One
 integration test exercises the real trace-gen→profile chain through
-``ExperimentRunner.run_graph`` and the publish-alias interop with the
-classic per-spec cache.
+``ExperimentRunner.run_graph`` and its sharing with the per-spec
+``get_profile``/``get_model`` helpers.
 """
 
 from __future__ import annotations
@@ -202,18 +202,40 @@ class TestExecutePayload:
         execute_payload(worker_payload(plans[0], store))
         assert store.manifest(plans[0].key).created == before
 
-    def test_publish_alias_written_with_provenance(self, store):
-        graph = StageGraph("t")
-        graph.node(
-            "seq",
-            stage_seq,
-            params={"n": 2},
-            publish=[("profile", {"w": "fake", "n": 2})],
-        )
-        ExperimentRunner(store=store).run_graph(graph)
-        alias = store.key_for("profile", {"w": "fake", "n": 2})
-        assert store.get(alias) == [0, 1]
-        assert store.manifest(alias).provenance["node"] == "t/seq"
+    def test_unreadable_input_computes_nothing(self, store):
+        plans = plan_graph(_chain(), store)
+        execute_payload(worker_payload(plans[0], store))
+        _corrupt(store, plans[0].key)
+        assert execute_payload(worker_payload(plans[1], store)) is None
+        assert not store.contains(plans[1].key)
+
+
+def _corrupt(store, key: str) -> None:
+    (store.root / f"{key}.pkl").write_bytes(b"not a pickle")
+    store.clear_memory()
+
+
+class TestCorruptEntryHealing:
+    """A planned-cached entry that fails to load is recomputed once."""
+
+    def test_corrupt_result_entry_recomputed(self, store):
+        runner = ExperimentRunner(store=store)
+        first = runner.run_graph(_chain())
+        _corrupt(store, first.key("scale"))
+        again = runner.run_graph(_chain())
+        assert again.cached("scale")  # contains() does not hash
+        assert again["scale"] == [0, 3, 6, 9]
+        assert store.manifest(first.key("scale")) is not None
+
+    def test_corrupt_cached_input_recomputed(self, store):
+        runner = ExperimentRunner(store=store)
+        first = runner.run_graph(_chain())
+        _corrupt(store, first.key("seq"))
+        # A downstream param edit: "scale" must read the corrupt "seq".
+        result = runner.run_graph(_chain(k=2))
+        assert result.executed == ["seq", "scale", "total"]
+        assert result["total"] == 12
+        assert result["seq"] == [0, 1, 2, 3]
 
 
 # -- code fingerprints --------------------------------------------------------
@@ -331,10 +353,12 @@ class TestIntrospection:
 
 @pytest.mark.slow
 class TestRealPipeline:
-    def test_spec_graph_publishes_classic_aliases(self, tmp_path):
+    def test_spec_graph_shared_with_get_model(self, tmp_path, monkeypatch):
         from repro.core.pipeline import SimProfConfig
+        from repro.experiments.common import ExperimentConfig, get_model
         from repro.runtime.runner import RunSpec
         from repro.runtime.stages import spec_nodes
+        from repro.runtime.store import reset_default_stores
 
         spec = RunSpec(
             workload="grep",
@@ -351,15 +375,18 @@ class TestRealPipeline:
         result = runner.run_graph(graph)
         assert result.misses == len(graph.nodes)
 
-        # The classic per-spec path hits the published aliases: the
-        # batch run finds both artifacts already materialised.
-        (classic,) = runner.run([spec], want="model")
-        assert classic.cached
+        # The per-spec helper finds both artifacts already materialised.
+        monkeypatch.setenv("SIMPROF_CACHE_DIR", str(store.root))
+        reset_default_stores()
+        cfg = ExperimentConfig(scale=0.05, simprof=spec.simprof)
+        job, model = get_model("grep", "spark", cfg)
+        reset_default_stores()
+        assert provenance_stats(store)["misses"] == len(graph.nodes)
         assert (
-            classic.job.profile.cpi().shape
-            == result[nodes["profile"]].profile.cpi().shape
+            job.content_digest()
+            == result[nodes["profile"]].content_digest()
         )
-        assert classic.model.k == result[nodes["model"]].k
+        assert model.k == result[nodes["model"]].k
 
         # A second graph run over the same spec is a full cache hit.
         graph2 = StageGraph("itest")

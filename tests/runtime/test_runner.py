@@ -1,21 +1,23 @@
-"""Tests for the batch experiment runner."""
+"""Tests for the experiment runner: graph execution and map_tasks."""
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import SimProfConfig
+from repro.runtime import provenance
 from repro.runtime import runner as runner_module
+from repro.runtime.provenance import StageGraph
 from repro.runtime.runner import (
     ExperimentRunner,
     RunnerError,
     RunSpec,
     resolve_jobs,
 )
+from repro.runtime.stages import spec_nodes
 from repro.runtime.store import ArtifactStore
 
 # Small, fast settings: grep finishes in about a second at this scale.
@@ -27,6 +29,25 @@ def _spec(workload: str = "grep", framework: str = "spark", **kw) -> RunSpec:
     kw.setdefault("simprof", SMALL_SIMPROF)
     return RunSpec(workload=workload, framework=framework, **kw)
 
+
+def _graph(specs, want: str = "model") -> tuple[StageGraph, list[dict]]:
+    graph = StageGraph("test")
+    return graph, [spec_nodes(graph, spec, want=want) for spec in specs]
+
+
+def _keys(store: ArtifactStore, spec: RunSpec) -> dict[str, str]:
+    """Planned stage keys of one spec's model chain, by role."""
+    graph, [nodes] = _graph([spec])
+    plans = {p.name: p.key for p in ExperimentRunner(store).plan_graph(graph)}
+    return {role: plans[name] for role, name in nodes.items()}
+
+
+def _stage_entries(store: ArtifactStore, stage: str) -> list:
+    return [
+        m
+        for m in store.entries()
+        if m.kind == "stage" and m.provenance["stage"] == stage
+    ]
 
 class TestResolveJobs:
     def test_explicit_wins(self, monkeypatch):
@@ -54,34 +75,33 @@ class TestKeys:
     def test_simprof_seed_changes_both_keys(self, tmp_path):
         """Regression: ``simprof.seed`` was missing from the old keys."""
         store = ArtifactStore(tmp_path)
-        s0 = _spec()
-        s1 = _spec(
-            simprof=SimProfConfig(
-                unit_size=10_000_000, snapshot_period=500_000, seed=1
-            )
+        k0 = _keys(store, _spec())
+        k1 = _keys(
+            store,
+            _spec(
+                simprof=SimProfConfig(
+                    unit_size=10_000_000, snapshot_period=500_000, seed=1
+                )
+            ),
         )
-        assert store.key_for("profile", s0.profile_params()) != store.key_for(
-            "profile", s1.profile_params()
-        )
-        assert store.key_for("model", s0.model_params()) != store.key_for(
-            "model", s1.model_params()
-        )
+        assert k0["trace"] == k1["trace"]
+        assert k0["profile"] != k1["profile"]
+        assert k0["model"] != k1["model"]
 
     def test_phase_knobs_not_in_profile_key(self, tmp_path):
         """Clustering-only knobs must not fragment the profile cache."""
         store = ArtifactStore(tmp_path)
-        s0 = _spec()
-        s1 = _spec(
-            simprof=SimProfConfig(
-                unit_size=10_000_000, snapshot_period=500_000, top_k_methods=5
-            )
+        k0 = _keys(store, _spec())
+        k1 = _keys(
+            store,
+            _spec(
+                simprof=SimProfConfig(
+                    unit_size=10_000_000, snapshot_period=500_000, top_k_methods=5
+                )
+            ),
         )
-        assert store.key_for("profile", s0.profile_params()) == store.key_for(
-            "profile", s1.profile_params()
-        )
-        assert store.key_for("model", s0.model_params()) != store.key_for(
-            "model", s1.model_params()
-        )
+        assert k0["profile"] == k1["profile"]
+        assert k0["model"] != k1["model"]
 
     def test_payload_roundtrip(self):
         spec = _spec(graph_name=None, params={"zipf_s": 1.2}, seed=3)
@@ -112,142 +132,163 @@ class TestKeys:
         assert clone.params is None
 
     def test_dedupe_key_distinguishes_want_kinds(self, tmp_path):
-        """The same spec dedupes separately per ``want``: a profile-only
-        run must not satisfy a model request (and vice versa)."""
-        runner = ExperimentRunner(store=ArtifactStore(tmp_path))
-        spec = _spec()
-        assert runner._dedupe_key(spec, "profile") != runner._dedupe_key(
-            spec, "model"
-        )
+        """A profile-only run must not satisfy a model request."""
+        store = ArtifactStore(tmp_path)
+        runner = ExperimentRunner(store, jobs=1)
+        graph, _ = _graph([_spec()], want="profile")
+        runner.run_graph(graph)
+        graph, [nodes] = _graph([_spec()], want="model")
+        plans = {p.name: p for p in runner.plan_graph(graph)}
+        assert plans[nodes["profile"]].cached
+        assert not plans[nodes["features"]].cached
+        assert not plans[nodes["model"]].cached
 
     def test_dedupe_key_collapses_equivalent_specs(self, tmp_path):
-        """Specs differing only in model-layer knobs share a profile
-        dedupe key (one workload simulation serves both) but get
-        distinct model keys."""
-        runner = ExperimentRunner(store=ArtifactStore(tmp_path))
-        s0 = _spec()
-        s1 = _spec(
-            simprof=SimProfConfig(
-                unit_size=10_000_000, snapshot_period=500_000, top_k_methods=5
-            )
+        """Equal specs collapse to one chain, computed once."""
+        graph, (first, second) = _graph([_spec(), _spec()])
+        assert first == second
+        result = ExperimentRunner(ArtifactStore(tmp_path), jobs=1).run_graph(
+            graph
         )
-        assert runner._dedupe_key(s0, "profile") == runner._dedupe_key(
-            s1, "profile"
-        )
-        assert runner._dedupe_key(s0, "model") != runner._dedupe_key(
-            s1, "model"
-        )
+        assert result.misses == len(graph.nodes) == 4
 
 
 class TestRunnerSerial:
     def test_run_returns_input_order_and_dedupes(self, tmp_path):
         store = ArtifactStore(tmp_path)
         specs = [_spec(), _spec("wc"), _spec()]  # first == third
-        results = ExperimentRunner(store, jobs=1).run(specs, want="profile")
-        assert [r.spec.workload for r in results] == ["grep", "wc", "grep"]
-        assert results[0].profile_key == results[2].profile_key
+        graph, nodes = _graph(specs, want="profile")
+        result = ExperimentRunner(store, jobs=1).run_graph(graph)
+        jobs = [result[n["profile"]] for n in nodes]
+        assert [j.workload for j in jobs] == ["grep", "wordcount", "grep"]
+        assert nodes[0] == nodes[2]
         # Two unique computations, not three.
-        assert store.stats.misses == 2
-        assert len(list(tmp_path.glob("profile-*.pkl"))) == 2
+        assert result.misses == 4
+        assert len(_stage_entries(store, "profile")) == 2
 
     def test_want_model_produces_both_artifacts(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        [result] = ExperimentRunner(store, jobs=1).run([_spec()], want="model")
-        assert result.model is not None
-        assert result.model.k >= 1
-        assert result.job.n_units > 0
-        assert len(list(tmp_path.glob("profile-*.pkl"))) == 1
-        assert len(list(tmp_path.glob("model-*.pkl"))) == 1
+        graph, [nodes] = _graph([_spec()])
+        result = ExperimentRunner(store, jobs=1).run_graph(graph)
+        assert result[nodes["model"]].k >= 1
+        assert result[nodes["profile"]].n_units > 0
+        for stage in ("trace-gen", "profile", "featurize", "phase-fit"):
+            assert len(_stage_entries(store, stage)) == 1, stage
+
+    def test_feature_selection_booked_once(self, tmp_path):
+        """The featurize node books feature selection; phase-fit must
+        not book it again from the features it is handed."""
+        store = ArtifactStore(tmp_path)
+        graph, _ = _graph([_spec()])
+        ExperimentRunner(store, jobs=1).run_graph(graph)
+        [featurize] = _stage_entries(store, "featurize")
+        [phase_fit] = _stage_entries(store, "phase-fit")
+        assert "feature-selection" in featurize.stages
+        assert "features" in featurize.counters["feature-selection"]
+        assert "feature-selection" not in phase_fit.stages
+        assert "feature-selection" not in phase_fit.counters
+        assert "k-means" in phase_fit.stages
 
     def test_cached_flag(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        runner = ExperimentRunner(store, jobs=1)
-        [first] = runner.run([_spec()], want="profile")
-        [second] = runner.run([_spec()], want="profile")
-        assert not first.cached
-        assert second.cached
+        runner = ExperimentRunner(ArtifactStore(tmp_path), jobs=1)
+        graph, [nodes] = _graph([_spec()], want="profile")
+        first = runner.run_graph(graph)
+        second = runner.run_graph(graph)
+        assert not first.cached(nodes["profile"])
+        assert second.cached(nodes["profile"])
+        assert second.executed == []
 
-    def test_invalid_want_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ExperimentRunner(ArtifactStore(tmp_path)).run([], want="banana")
+    def test_invalid_want_rejected(self):
+        with pytest.raises(ValueError, match="want"):
+            _graph([_spec()], want="banana")
 
     def test_bounded_retries_then_success(self, tmp_path, monkeypatch):
-        real = runner_module._materialise
+        real = provenance.execute_payload
         failures = {"left": 2}
 
-        def flaky(spec, want, store, **kwargs):
+        def flaky(payload):
             if failures["left"] > 0:
                 failures["left"] -= 1
                 raise OSError("transient worker failure")
-            return real(spec, want, store, **kwargs)
+            return real(payload)
 
-        monkeypatch.setattr(runner_module, "_materialise", flaky)
-        store = ArtifactStore(tmp_path)
-        [result] = ExperimentRunner(store, jobs=1, retries=2).run(
-            [_spec()], want="profile"
-        )
-        assert result.job.n_units > 0
+        monkeypatch.setattr(provenance, "execute_payload", flaky)
+        graph, [nodes] = _graph([_spec()], want="profile")
+        result = ExperimentRunner(
+            ArtifactStore(tmp_path), jobs=1, retries=2
+        ).run_graph(graph)
+        assert result[nodes["profile"]].n_units > 0
         assert failures["left"] == 0
 
     def test_retries_exhausted_raise_runner_error(self, tmp_path, monkeypatch):
         calls = []
 
-        def always_fails(spec, want, store, **kwargs):
+        def always_fails(payload):
             calls.append(1)
             raise OSError("persistent failure")
 
-        monkeypatch.setattr(runner_module, "_materialise", always_fails)
+        monkeypatch.setattr(provenance, "execute_payload", always_fails)
+        graph, _ = _graph([_spec()], want="profile")
         with pytest.raises(RunnerError, match="after 2 attempts"):
-            ExperimentRunner(ArtifactStore(tmp_path), jobs=1, retries=1).run(
-                [_spec()], want="profile"
-            )
+            ExperimentRunner(
+                ArtifactStore(tmp_path), jobs=1, retries=1
+            ).run_graph(graph)
         assert len(calls) == 2
+
+
+def _assert_same_pickles(reference, other) -> None:
+    pkls = sorted(reference.glob("*.pkl"))
+    assert pkls, "reference run produced no artifacts"
+    for pkl in pkls:
+        assert (
+            pkl.read_bytes() == (other / pkl.name).read_bytes()
+        ), f"artifact {pkl.name} differs from the serial run"
 
 
 @pytest.mark.slow
 class TestRunnerParallel:
-    def test_parallel_matches_serial_bytes(self, tmp_path, monkeypatch):
+    def test_parallel_matches_serial_bytes(self, tmp_path):
         """SIMPROF_JOBS fan-out must be invisible in the artifacts."""
         specs = [_spec("grep", "spark"), _spec("grep", "hadoop")]
+        graph, nodes = _graph(specs)
+        serial = ExperimentRunner(
+            ArtifactStore(tmp_path / "serial"), jobs=1
+        ).run_graph(graph)
+        parallel = ExperimentRunner(
+            ArtifactStore(tmp_path / "parallel"), jobs=2
+        ).run_graph(graph)
 
-        serial_root = tmp_path / "serial"
-        monkeypatch.setenv("SIMPROF_CACHE_DIR", str(serial_root))
-        serial = ExperimentRunner(ArtifactStore(serial_root), jobs=1).run(
-            specs, want="model"
-        )
-
-        parallel_root = tmp_path / "parallel"
-        monkeypatch.setenv("SIMPROF_CACHE_DIR", str(parallel_root))
-        parallel = ExperimentRunner(ArtifactStore(parallel_root), jobs=2).run(
-            specs, want="model"
-        )
-
-        for s_res, p_res in zip(serial, parallel):
-            assert s_res.profile_key == p_res.profile_key
-            assert s_res.model_key == p_res.model_key
+        assert [p.key for p in serial.plans] == [p.key for p in parallel.plans]
+        for n in nodes:
             np.testing.assert_array_equal(
-                s_res.job.profile.cpi(), p_res.job.profile.cpi()
+                serial[n["profile"]].profile.cpi(),
+                parallel[n["profile"]].profile.cpi(),
             )
             np.testing.assert_array_equal(
-                s_res.model.assignments, p_res.model.assignments
+                serial[n["model"]].assignments,
+                parallel[n["model"]].assignments,
             )
-        for pkl in sorted(serial_root.glob("*.pkl")):
-            assert (
-                pkl.read_bytes() == (parallel_root / pkl.name).read_bytes()
-            ), f"artifact {pkl.name} differs between serial and parallel runs"
+        _assert_same_pickles(tmp_path / "serial", tmp_path / "parallel")
 
-    def test_parallel_failure_surfaces_as_runner_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SIMPROF_CACHE_DIR", str(tmp_path))
-        bad = [_spec("no-such-workload"), _spec("also-missing")]
+    def test_parallel_failure_surfaces_as_runner_error(self, tmp_path):
+        graph, _ = _graph(
+            [_spec("no-such-workload"), _spec("also-missing")], want="profile"
+        )
         with pytest.raises(RunnerError):
             ExperimentRunner(
                 ArtifactStore(tmp_path), jobs=2, retries=0
-            ).run(bad, want="profile")
+            ).run_graph(graph)
 
 
-def _crash_worker(payload):
-    """Pool entry that dies like an OOM-killed worker (no exception path)."""
-    os._exit(1)
+_PARENT_PID = os.getpid()
+_REAL_EXECUTE = provenance.execute_payload
+
+
+def _crash_in_worker(payload):
+    """Dies like an OOM-killed worker in a pool; runs normally in-process."""
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return _REAL_EXECUTE(payload)
 
 
 @pytest.mark.slow
@@ -257,146 +298,82 @@ class TestBrokenPoolDegradation:
     ):
         """A hard worker death must finish in-process, bytes unchanged."""
         specs = [_spec("grep", "spark"), _spec("grep", "hadoop")]
+        graph, nodes = _graph(specs, want="profile")
+        serial = ExperimentRunner(
+            ArtifactStore(tmp_path / "serial"), jobs=1
+        ).run_graph(graph)
 
-        serial_root = tmp_path / "serial"
-        monkeypatch.setenv("SIMPROF_CACHE_DIR", str(serial_root))
-        serial = ExperimentRunner(ArtifactStore(serial_root), jobs=1).run(
-            specs, want="profile"
-        )
+        monkeypatch.setattr(provenance, "execute_payload", _crash_in_worker)
+        degraded = ExperimentRunner(
+            ArtifactStore(tmp_path / "broken"), jobs=2
+        ).run_graph(graph)
 
-        broken_root = tmp_path / "broken"
-        monkeypatch.setenv("SIMPROF_CACHE_DIR", str(broken_root))
-        monkeypatch.setattr(runner_module, "_pool_worker", _crash_worker)
-        degraded = ExperimentRunner(ArtifactStore(broken_root), jobs=2).run(
-            specs, want="profile"
-        )
-
-        for s_res, d_res in zip(serial, degraded):
-            assert s_res.profile_key == d_res.profile_key
+        for n in nodes:
             np.testing.assert_array_equal(
-                s_res.job.profile.cpi(), d_res.job.profile.cpi()
+                serial[n["profile"]].profile.cpi(),
+                degraded[n["profile"]].profile.cpi(),
             )
-        pkls = sorted(serial_root.glob("*.pkl"))
-        assert pkls, "serial run produced no artifacts"
-        for pkl in pkls:
-            assert (
-                pkl.read_bytes() == (broken_root / pkl.name).read_bytes()
-            ), f"artifact {pkl.name} differs after broken-pool degradation"
+        _assert_same_pickles(tmp_path / "serial", tmp_path / "broken")
+
+
+def _never_succeeds(x: int) -> int:
+    raise OSError("persistent failure")
 
 
 class TestBackoff:
-    def _capture_sleeps(self, tmp_path, monkeypatch, seed=0):
+    def _capture_sleeps(self, monkeypatch, seed=0):
         sleeps: list[float] = []
         monkeypatch.setattr(
             runner_module.time, "sleep", lambda s: sleeps.append(s)
         )
-
-        def always_fails(spec, want, store, **kwargs):
-            raise OSError("persistent failure")
-
-        monkeypatch.setattr(runner_module, "_materialise", always_fails)
         with pytest.raises(RunnerError, match="after 3 attempts"):
-            ExperimentRunner(
-                ArtifactStore(tmp_path), jobs=1, retries=2, backoff=0.5,
-                seed=seed,
-            ).run([_spec()], want="profile")
+            runner_module.map_tasks(
+                _never_succeeds, [0], jobs=1, retries=2, backoff=0.5, seed=seed
+            )
         return sleeps
 
-    def test_exponential_backoff_with_bounded_jitter(
-        self, tmp_path, monkeypatch
-    ):
+    def test_exponential_backoff_with_bounded_jitter(self, monkeypatch):
         # Jittered exponential backoff: each sleep lands in
         # [base, 1.5 * base] where base doubles per attempt.
-        sleeps = self._capture_sleeps(tmp_path, monkeypatch)
+        sleeps = self._capture_sleeps(monkeypatch)
         assert len(sleeps) == 2
         for attempt, s in enumerate(sleeps):
             base = 0.5 * 2.0**attempt
             assert base <= s <= base * 1.5
 
-    def test_backoff_jitter_is_seeded(self, tmp_path, monkeypatch):
-        # Same runner seed → identical sleep schedule (replayable);
-        # different seed → desynchronised jitter.
-        a = self._capture_sleeps(tmp_path / "a", monkeypatch, seed=3)
-        b = self._capture_sleeps(tmp_path / "b", monkeypatch, seed=3)
-        c = self._capture_sleeps(tmp_path / "c", monkeypatch, seed=4)
+    def test_backoff_jitter_is_seeded(self, monkeypatch):
+        # Same seed → identical sleep schedule (replayable); different
+        # seed → desynchronised jitter.
+        a = self._capture_sleeps(monkeypatch, seed=3)
+        b = self._capture_sleeps(monkeypatch, seed=3)
+        c = self._capture_sleeps(monkeypatch, seed=4)
         assert a == b
         assert a != c
 
-    def test_zero_backoff_never_sleeps(self, tmp_path, monkeypatch):
+    def test_zero_backoff_never_sleeps(self, monkeypatch):
         monkeypatch.setattr(
             runner_module.time,
             "sleep",
             lambda s: pytest.fail("sleep called with backoff=0"),
         )
-
-        def always_fails(spec, want, store, **kwargs):
-            raise OSError("persistent failure")
-
-        monkeypatch.setattr(runner_module, "_materialise", always_fails)
         with pytest.raises(RunnerError):
-            ExperimentRunner(
-                ArtifactStore(tmp_path), jobs=1, retries=1
-            ).run([_spec()], want="profile")
-
-    def test_timeout_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="timeout"):
-            ExperimentRunner(ArtifactStore(tmp_path), timeout=0)
-        with pytest.raises(ValueError, match="timeout"):
-            ExperimentRunner(ArtifactStore(tmp_path), timeout=-1.0)
+            runner_module.map_tasks(_never_succeeds, [0], jobs=1, retries=1)
 
 
 class TestCheckpoint:
-    def test_journal_class_roundtrip(self, tmp_path):
-        path = tmp_path / "ck.json"
-        journal = runner_module._Checkpoint(path)
-        journal.mark("k1")
-        journal.mark("k2")
-        journal.mark("k1")  # idempotent
-        assert json.loads(path.read_text())["done"] == ["k1", "k2"]
-        assert runner_module._Checkpoint(path).done == {"k1", "k2"}
-
-    def test_corrupt_journal_treated_as_empty(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text("{not json", encoding="utf-8")
-        assert runner_module._Checkpoint(path).done == set()
-
-    def test_run_journals_completed_keys(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        ck = tmp_path / "ck.json"
-        runner = ExperimentRunner(store, jobs=1, checkpoint=ck)
-        [result] = runner.run([_spec()], want="profile")
-        done = json.loads(ck.read_text())["done"]
-        assert done == [result.profile_key]
-
     def test_resume_after_store_sweep_heals(self, tmp_path):
-        """Checkpointed keys the store lost are recomputed lazily."""
+        """Entries the store lost between runs are recomputed."""
         root = tmp_path / "store"
-        ck = tmp_path / "ck.json"
-        store = ArtifactStore(root)
-        [first] = ExperimentRunner(store, jobs=1, checkpoint=ck).run(
-            [_spec()], want="profile"
-        )
-        for pkl in root.glob("*.pkl"):
-            pkl.unlink()
-        for manifest in root.glob("*.json"):
-            manifest.unlink()
+        graph, [nodes] = _graph([_spec()], want="profile")
+        first = ExperimentRunner(ArtifactStore(root), jobs=1).run_graph(graph)
+        job = first[nodes["profile"]]
+        for path in [*root.glob("*.pkl"), *root.glob("*.json")]:
+            path.unlink()
 
-        fresh = ArtifactStore(root)
-        [second] = ExperimentRunner(fresh, jobs=1, checkpoint=ck).run(
-            [_spec()], want="profile"
-        )
-        assert second.profile_key == first.profile_key
-        assert second.job.n_units == first.job.n_units
-
-    def test_corrupt_checkpoint_does_not_break_run(self, tmp_path):
-        ck = tmp_path / "ck.json"
-        ck.write_text("garbage!!", encoding="utf-8")
-        store = ArtifactStore(tmp_path / "store")
-        [result] = ExperimentRunner(store, jobs=1, checkpoint=ck).run(
-            [_spec()], want="profile"
-        )
-        assert result.job.n_units > 0
-        assert json.loads(ck.read_text())["done"] == [result.profile_key]
+        second = ExperimentRunner(ArtifactStore(root), jobs=1).run_graph(graph)
+        assert second.executed == first.executed
+        assert second.key(nodes["profile"]) == first.key(nodes["profile"])
+        assert second[nodes["profile"]].content_digest() == job.content_digest()
 
 
 # -- map_tasks ----------------------------------------------------------------
@@ -478,25 +455,29 @@ class TestMapTasks:
         assert runner.map_tasks(_double, [5]) == [10]
 
 
+def _batch_digest(root, spec: RunSpec) -> str:
+    graph, [nodes] = _graph([spec], want="profile")
+    result = ExperimentRunner(ArtifactStore(root), jobs=1).run_graph(graph)
+    return result[nodes["profile"]].content_digest()
+
+
 class TestStreamingCheckpoint:
-    """The runner's checkpoint_every path: resumable cache-miss profiles."""
+    """``_compute_profile_stream``: resumable profiles off a live stream."""
 
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            ExperimentRunner(ArtifactStore(tmp_path), checkpoint_every=0)
+        with pytest.raises(ValueError, match="interval"):
+            runner_module._compute_profile_stream(
+                _spec(), ArtifactStore(tmp_path), checkpoint_every=0
+            )
 
     def test_streaming_compute_matches_batch(self, tmp_path):
         spec = _spec()
-        batch = ExperimentRunner(
-            ArtifactStore(tmp_path / "batch"), jobs=1
-        ).run([spec], want="profile")[0]
-        streaming = ExperimentRunner(
-            ArtifactStore(tmp_path / "stream"), jobs=1, checkpoint_every=2
-        ).run([spec], want="profile")[0]
-        assert (
-            streaming.job.content_digest() == batch.job.content_digest()
+        streaming = runner_module._compute_profile_stream(
+            spec, ArtifactStore(tmp_path / "stream"), checkpoint_every=2
         )
-        assert streaming.profile_key == batch.profile_key
+        assert streaming.content_digest() == _batch_digest(
+            tmp_path / "batch", spec
+        )
 
     def test_killed_worker_resumes_bit_identically(self, tmp_path):
         from repro.runtime.checkpoint import (
@@ -506,9 +487,7 @@ class TestStreamingCheckpoint:
         )
 
         spec = _spec()
-        want = ExperimentRunner(
-            ArtifactStore(tmp_path / "ref"), jobs=1
-        ).run([spec], want="profile")[0].job.content_digest()
+        want = _batch_digest(tmp_path / "ref", spec)
 
         store = ArtifactStore(tmp_path / "store")
         with pytest.raises(WorkerKilled):
@@ -520,34 +499,41 @@ class TestStreamingCheckpoint:
         )
         assert manager.latest() is not None
 
-        # The "replacement worker": a plain run over the same store
-        # resumes from the dead worker's snapshots and retires them.
-        [result] = ExperimentRunner(store, jobs=1, checkpoint_every=1).run(
-            [spec], want="profile"
+        # The "replacement worker" over the same store resumes from the
+        # dead worker's snapshots and retires them.
+        job = runner_module._compute_profile_stream(
+            spec, store, checkpoint_every=1
         )
-        assert result.job.content_digest() == want
+        assert job.content_digest() == want
         assert manager.latest() is None
 
     def test_journal_tracks_inflight_jobs(self, tmp_path):
-        from repro.runtime.checkpoint import checkpoint_job_key
+        from repro.runtime.checkpoint import WorkerKilled, checkpoint_job_key
+        from repro.runtime.replicate import iter_inflight
 
         spec = _spec()
-        ck = tmp_path / "ck.json"
         store = ArtifactStore(tmp_path / "store")
-        runner = ExperimentRunner(
-            store, jobs=1, checkpoint=ck, checkpoint_every=2
-        )
-        [result] = runner.run([spec], want="profile")
-        data = json.loads(ck.read_text())
-        # Completion retires the inflight entry into "done".
-        assert data["done"] == [result.profile_key]
-        assert "inflight" not in data
+        with pytest.raises(WorkerKilled):
+            runner_module._compute_profile_stream(
+                spec, store, checkpoint_every=2, kill_after=6
+            )
+        [(job_key, payload)] = iter_inflight(store)
+        assert job_key == checkpoint_job_key(spec.profile_params())
+        assert RunSpec.from_payload(payload["spec"]) == spec
+        # Completion retires the journal entry.
+        runner_module._compute_profile_stream(spec, store, checkpoint_every=2)
+        assert list(iter_inflight(store)) == []
 
     def test_mark_inflight_roundtrip(self, tmp_path):
-        path = tmp_path / "ck.json"
-        journal = runner_module._Checkpoint(path)
-        journal.mark_inflight("k1", {"job_key": "abc", "label": "wc_sp"})
-        reloaded = runner_module._Checkpoint(path)
-        assert reloaded.inflight == {"k1": {"job_key": "abc", "label": "wc_sp"}}
-        journal.mark("k1")
-        assert runner_module._Checkpoint(path).inflight == {}
+        from repro.runtime.replicate import (
+            clear_inflight,
+            iter_inflight,
+            register_inflight,
+        )
+
+        store = ArtifactStore(tmp_path)
+        info = {"spec": _spec().to_payload(), "label": "grep_sp"}
+        register_inflight(store, "k1", info)
+        assert list(iter_inflight(ArtifactStore(tmp_path))) == [("k1", info)]
+        clear_inflight(store, "k1")
+        assert list(iter_inflight(ArtifactStore(tmp_path))) == []
