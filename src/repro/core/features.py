@@ -164,6 +164,17 @@ def univariate_regression_scores(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r2 / (1.0 - r2) * (n - 2)
 
 
+def _f_critical(q: float, dfd: int) -> float:
+    """Upper-``q`` critical value of the F(1, ``dfd``) distribution.
+
+    ``fdtri(1, dfd, 1 - q)`` is what ``scipy.stats.f.isf(q, 1, dfd)``
+    evaluates, bit for bit, without importing ``scipy.stats``.
+    """
+    from scipy import special
+
+    return float(special.fdtri(1, dfd, 1.0 - q))
+
+
 def select_features(
     X: np.ndarray,
     ipc: np.ndarray,
@@ -190,15 +201,11 @@ def select_features(
       quantised 0-or-1 feature that is sampling noise, not phase
       structure (``mean_appearances`` carries the raw per-unit counts).
     """
-    from scipy import stats
-
     n, n_features = X.shape
     scores = univariate_regression_scores(X, ipc)
     if n_features == 0 or n < 3:
         return np.empty(0, dtype=np.intp), scores
-    f_crit = float(
-        stats.f.isf(min(1.0, significance / n_features), 1, max(1, n - 2))
-    )
+    f_crit = _f_critical(min(1.0, significance / n_features), max(1, n - 2))
     # Invert F = r²/(1−r²)·(n−2) at the effect-size floor.
     f_floor = min_r2 / (1.0 - min_r2) * (n - 2)
     eligible = scores > max(f_crit, f_floor)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.runtime.instrument import stage_timer
 
@@ -41,7 +41,9 @@ def z_for_confidence(confidence: float) -> float:
     """Two-sided normal z-score for a confidence level (0.997 → ≈3)."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    return float(stats.norm.ppf(0.5 + confidence / 2.0))
+    # ndtri is the standard-normal quantile that ``scipy.stats.norm.ppf``
+    # evaluates, without importing ``scipy.stats`` at start-up.
+    return float(special.ndtri(0.5 + confidence / 2.0))
 
 
 def optimal_allocation(

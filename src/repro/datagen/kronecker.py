@@ -10,7 +10,8 @@ to the initiator entries; the chosen bits assemble the source/target
 node ids.
 
 The sampler is fully vectorised: all edges descend all levels in one
-``(n_edges, scale)`` categorical draw.
+``(n_edges, scale)`` categorical draw, and deduplication sorts one
+packed ``(src << scale) | dst`` key per edge rather than 2-column rows.
 """
 
 from __future__ import annotations
@@ -85,7 +86,11 @@ def generate_kronecker_edges(spec: KroneckerSpec, seed: int) -> np.ndarray:
     if spec.drop_self_loops:
         edges = edges[edges[:, 0] != edges[:, 1]]
     if spec.deduplicate:
-        edges = np.unique(edges, axis=0)
+        # One int64 key per edge (scale <= 30, so 2 * scale bits fit);
+        # its sort order is the lexicographic (src, dst) row order.
+        keys = np.unique((edges[:, 0] << spec.scale) | edges[:, 1])
+        mask = (1 << spec.scale) - 1
+        edges = np.stack([keys >> spec.scale, keys & mask], axis=1)
         # unique() sorts; restore a shuffled on-disk order so input
         # partitions are not trivially degree-sorted.
         edges = edges[rng.permutation(len(edges))]

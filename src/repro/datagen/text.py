@@ -8,18 +8,19 @@ vocabulary, line lengths follow a Poisson around a target mean, and the
 skew/vocabulary knobs make different *inputs* genuinely different
 (word-frequency profile for WordCount, key ordering for Sort — exactly
 the input axes Section IV-E discusses).
+
+Every random draw is one vectorised call; only the string assembly
+(collision suffixes, joining words into lines) loops in Python, over
+plain lists rather than NumPy ``<U`` arrays.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["TextSpec", "synthesize_text", "synthesize_labeled_text", "make_vocabulary"]
-
-_ALPHABET = np.array(list(string.ascii_lowercase))
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,13 +58,23 @@ def make_vocabulary(
 
     Lengths are Poisson-distributed (min 2); letters uniform.  Words are
     unique by construction (a numeric suffix disambiguates collisions).
+
+    All letters come from one ``rng.integers(0, 26, size=total)`` call,
+    sliced into words by the cumulative lengths.  This consumes the
+    stream exactly as one call per word would: int64 draws below 2**32
+    take one 32-bit word each from the bit generator, whose buffered
+    half-word lives in the generator state, not in the call.  (A
+    ``dtype=np.uint8`` draw would consume a different stream.)
     """
     lengths = np.maximum(2, rng.poisson(word_len_mean, size=size))
+    codes = rng.integers(0, 26, size=int(lengths.sum())).astype(np.uint8)
+    letters = (codes + ord("a")).tobytes().decode("ascii")
     words: list[str] = []
     seen: set[str] = set()
-    for i, ln in enumerate(lengths):
-        letters = _ALPHABET[rng.integers(0, 26, size=int(ln))]
-        w = "".join(letters)
+    start = 0
+    for i, end in enumerate(np.cumsum(lengths).tolist()):
+        w = letters[start:end]
+        start = end
         if w in seen:
             w = f"{w}{i}"
         seen.add(w)
@@ -80,27 +91,20 @@ def _zipf_probs(n: int, s: float) -> np.ndarray:
 def synthesize_text(spec: TextSpec, seed: int) -> list[str]:
     """Generate a corpus of ``spec.n_lines`` lines.
 
-    Word draws are fully vectorised: one multinomial-style draw for all
-    words of the corpus, then lines are assembled by slicing.
+    One categorical draw covers all words of the corpus; lines are then
+    assembled by slicing the flat word list.
     """
     rng = np.random.default_rng(seed)
-    vocab = np.array(make_vocabulary(spec.vocab_size, rng, spec.word_len_mean))
+    vocab = make_vocabulary(spec.vocab_size, rng, spec.word_len_mean)
     probs = _zipf_probs(spec.vocab_size, spec.zipf_s)
     if spec.shuffle_ranks:
         # Decouple frequency rank from alphabetical order.
-        vocab = vocab[rng.permutation(spec.vocab_size)]
+        vocab = [vocab[i] for i in rng.permutation(spec.vocab_size).tolist()]
 
     line_lens = np.maximum(1, rng.poisson(spec.words_per_line, size=spec.n_lines))
     total_words = int(line_lens.sum())
     word_ids = rng.choice(spec.vocab_size, size=total_words, p=probs)
-    flat = vocab[word_ids]
-
-    lines: list[str] = []
-    pos = 0
-    for ln in line_lens:
-        lines.append(" ".join(flat[pos : pos + int(ln)]))
-        pos += int(ln)
-    return lines
+    return _join_lines([vocab[i] for i in word_ids.tolist()], line_lens)
 
 
 def synthesize_labeled_text(
@@ -119,21 +123,31 @@ def synthesize_labeled_text(
     if n_classes <= 0:
         raise ValueError("n_classes must be positive")
     rng = np.random.default_rng(seed)
-    vocab = np.array(make_vocabulary(spec.vocab_size, rng, spec.word_len_mean))
+    vocab = make_vocabulary(spec.vocab_size, rng, spec.word_len_mean)
     probs = _zipf_probs(spec.vocab_size, spec.zipf_s)
     class_probs = _zipf_probs(n_classes, class_skew)
     # Per-class view of the vocabulary: a fixed permutation per class.
-    class_perm = [rng.permutation(spec.vocab_size) for _ in range(n_classes)]
+    class_perm = np.stack(
+        [rng.permutation(spec.vocab_size) for _ in range(n_classes)]
+    )
 
     labels = rng.choice(n_classes, size=spec.n_lines, p=class_probs)
     line_lens = np.maximum(1, rng.poisson(spec.words_per_line, size=spec.n_lines))
     total_words = int(line_lens.sum())
     word_ranks = rng.choice(spec.vocab_size, size=total_words, p=probs)
 
+    word_ids = class_perm[np.repeat(labels, line_lens), word_ranks]
+    bodies = _join_lines([vocab[i] for i in word_ids.tolist()], line_lens)
+    return [
+        f"class{label}\t{body}" for label, body in zip(labels.tolist(), bodies)
+    ]
+
+
+def _join_lines(words: list[str], line_lens: np.ndarray) -> list[str]:
+    """Join consecutive runs of ``words`` into lines of ``line_lens`` words."""
     lines: list[str] = []
     pos = 0
-    for label, ln in zip(labels, line_lens):
-        ids = class_perm[int(label)][word_ranks[pos : pos + int(ln)]]
-        lines.append(f"class{int(label)}\t" + " ".join(vocab[ids]))
-        pos += int(ln)
+    for ln in line_lens.tolist():
+        lines.append(" ".join(words[pos : pos + ln]))
+        pos += ln
     return lines

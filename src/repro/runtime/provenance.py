@@ -430,7 +430,13 @@ class NodePlan:
 
 
 def _node_id(graph_name: str, node_name: str) -> str:
-    return f"{graph_name}/{node_name}"
+    """Logical node id for lineage and miss diagnosis.
+
+    A ``#digest`` disambiguator in the node name (variants of one chain,
+    see :func:`repro.runtime.stages.spec_nodes`) is dropped, so a
+    retuned knob diagnoses as ``params`` against the same logical node.
+    """
+    return f"{graph_name}/{node_name.partition('#')[0]}"
 
 
 def _latest_by_node(store: ArtifactStore) -> dict[str, ArtifactManifest]:

@@ -177,6 +177,28 @@ def _ensure(
     return name
 
 
+def _ensure_chained(
+    graph: StageGraph,
+    base: str,
+    fn,
+    *,
+    params: Mapping[str, Any],
+    deps: Mapping[str, str],
+) -> str:
+    """:func:`_ensure` a node named ``base#<digest>`` of its params and deps.
+
+    Below trace-gen a chain depends on the SimProf knobs too, so two
+    specs of one workload that differ only in, say, ``top_k_methods``
+    share the trace-gen and profile nodes and fork at featurize.  The
+    deps are upstream node *names*, which carry their own digests, so
+    the suffix is unique per upstream chain.  Names never enter cache
+    keys, and the lineage record drops the suffix, so a retuned knob
+    still reads as a ``params`` change of the same logical node.
+    """
+    digest = stable_hash({"params": dict(params), "deps": dict(deps)})[:8]
+    return _ensure(graph, f"{base}#{digest}", fn, params=params, deps=deps)
+
+
 def spec_nodes(
     graph: StageGraph,
     spec: RunSpec,
@@ -189,7 +211,8 @@ def spec_nodes(
     Returns ``{"trace": …, "profile": …}`` plus ``"features"`` and
     ``"model"`` when ``want="model"``, plus ``"estimate"`` when
     ``n_points`` is given.  Chains already present (another figure
-    shares the spec) are reused.
+    shares the spec) are reused; specs that differ only in SimProf
+    knobs share the nodes those knobs do not reach.
     """
     if want not in ("profile", "model"):
         raise ValueError(f"want must be 'profile' or 'model', got {want!r}")
@@ -201,7 +224,7 @@ def spec_nodes(
         stage_trace_gen,
         params=trace_params(spec),
     )
-    profile = _ensure(
+    profile = _ensure_chained(
         graph,
         f"profile:{label}",
         stage_profile,
@@ -212,7 +235,7 @@ def spec_nodes(
     if want == "model":
         from repro.core.features import FEATURIZER_VERSION
 
-        features = _ensure(
+        features = _ensure_chained(
             graph,
             f"featurize:{label}",
             stage_featurize,
@@ -222,7 +245,7 @@ def spec_nodes(
             },
             deps={"job": profile},
         )
-        model = _ensure(
+        model = _ensure_chained(
             graph,
             f"phase-fit:{label}",
             stage_phase_fit,
@@ -236,7 +259,7 @@ def spec_nodes(
         )
         nodes.update(features=features, model=model)
         if n_points is not None:
-            estimate = _ensure(
+            estimate = _ensure_chained(
                 graph,
                 f"estimate:{label}",
                 stage_estimate,

@@ -333,7 +333,7 @@ class ArtifactStore:
             raise KeyError(key) from None
         self.stats.disk_hits += 1
         self._memory[key] = value
-        self._record_hit(key)
+        self._record_hit(key, manifest)
         return value
 
     def put(
@@ -544,9 +544,8 @@ class ArtifactStore:
             return "corrupt"
         return "ok"
 
-    def _record_hit(self, key: str) -> None:
-        """Bump the on-disk hit counter (best-effort)."""
-        manifest = self.manifest(key)
+    def _record_hit(self, key: str, manifest: ArtifactManifest | None) -> None:
+        """Bump the hit counter of ``key``'s already-parsed manifest (best-effort)."""
         if manifest is None:
             return
         manifest.hits += 1

@@ -9,6 +9,9 @@ regression tests for the historical cache-key bugs (missing
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,3 +154,79 @@ class TestCaching:
             "wc", "spark", SMALL, params={"b": 3, "a": {"y": 2, "x": 1}}
         )
         assert len(_stage_pkls("profile")) == 1
+
+
+class TestSpecNodes:
+    """Specs that differ only in SimProf knobs wire into one graph."""
+
+    @staticmethod
+    def _spec(**knobs):
+        cfg = ExperimentConfig(
+            scale=SMALL.scale,
+            n_sampling_draws=SMALL.n_sampling_draws,
+            simprof=replace(SMALL.simprof, **knobs),
+        )
+        return make_spec("grep", "spark", cfg)
+
+    @staticmethod
+    def _keys(graph: StageGraph) -> dict[str, str]:
+        plans = ExperimentRunner(default_store()).plan_graph(graph)
+        return {p.name: p.key for p in plans}
+
+    def _wire_both(self, first, second):
+        graph = StageGraph("mixed")
+        a = spec_nodes(graph, first, n_points=20)
+        b = spec_nodes(graph, second, n_points=20)
+        keys = self._keys(graph)
+        # Node names never enter keys: each chain keys as it does alone.
+        for spec, nodes in ((first, a), (second, b)):
+            alone = StageGraph("mixed")
+            solo = spec_nodes(alone, spec, n_points=20)
+            solo_keys = self._keys(alone)
+            for role, name in nodes.items():
+                assert keys[name] == solo_keys[solo[role]], role
+        stages = Counter(node.stage for node in graph.nodes.values())
+        return a, b, stages
+
+    def test_top_k_variants_share_trace_and_profile(self):
+        a, b, stages = self._wire_both(
+            self._spec(top_k_methods=100), self._spec(top_k_methods=5)
+        )
+        assert stages == {
+            "trace-gen": 1,
+            "profile": 1,
+            "featurize": 2,
+            "phase-fit": 2,
+            "estimate": 2,
+        }
+        assert a["trace"] == b["trace"] and a["profile"] == b["profile"]
+        assert a["features"] != b["features"] and a["model"] != b["model"]
+
+    def test_unit_size_variants_share_trace_only(self):
+        a, b, stages = self._wire_both(
+            self._spec(unit_size=10_000_000), self._spec(unit_size=20_000_000)
+        )
+        assert stages == {
+            "trace-gen": 1,
+            "profile": 2,
+            "featurize": 2,
+            "phase-fit": 2,
+            "estimate": 2,
+        }
+        assert a["trace"] == b["trace"] and a["profile"] != b["profile"]
+
+    def test_lineage_id_drops_the_digest(self):
+        """Variants are one logical node, so a retune diagnoses as params."""
+        graph = StageGraph("mixed")
+        spec_nodes(graph, self._spec(top_k_methods=100))
+        spec_nodes(graph, self._spec(top_k_methods=5))
+        plans = ExperimentRunner(default_store()).plan_graph(graph)
+        ids = {p.record["node"] for p in plans if p.node.stage == "featurize"}
+        assert ids == {"mixed/featurize:grep_sp"}
+
+    def test_rewiring_a_spec_reuses_its_chain(self):
+        graph = StageGraph("mixed")
+        first = spec_nodes(graph, self._spec(), n_points=20)
+        n_nodes = len(graph.nodes)
+        assert spec_nodes(graph, self._spec(), n_points=20) == first
+        assert len(graph.nodes) == n_nodes

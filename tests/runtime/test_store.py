@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 import threading
 import time
@@ -106,6 +107,27 @@ class TestStoreRoundtrip:
             assert reader.get(key) == "v"
             assert reader.manifest(key).hits == expected_hits
 
+    def test_disk_hit_reads_manifest_once(self, tmp_path, monkeypatch):
+        store = ArtifactStore(tmp_path)
+        key = store.key_for("profile", {"w": "wc"})
+        store.put(key, "v", kind="profile")
+        reader = ArtifactStore(tmp_path)
+        reads = []
+        real = ArtifactStore.manifest
+
+        def counting(self, k):
+            reads.append(k)
+            return real(self, k)
+
+        monkeypatch.setattr(ArtifactStore, "manifest", counting)
+        assert reader.get(key) == "v"
+        monkeypatch.undo()
+        assert reads == [key]
+        assert reader.manifest(key).hits == 1
+        # A memory hit neither reads nor bumps the on-disk manifest.
+        assert reader.get(key) == "v"
+        assert reader.manifest(key).hits == 1
+
     def test_stage_timings_captured_in_manifest(self, tmp_path):
         store = ArtifactStore(tmp_path)
 
@@ -169,6 +191,9 @@ class TestIntegrity:
         assert not store.contains(key)
         assert (tmp_path / "quarantine" / f"{key}.pkl").exists()
         assert (tmp_path / "quarantine" / f"{key}.json").exists()
+        # The quarantined manifest is the original, hit count untouched.
+        parked = json.loads((tmp_path / "quarantine" / f"{key}.json").read_text())
+        assert parked["hits"] == 0
 
     def test_verify_classifies_entries(self, tmp_path):
         store = ArtifactStore(tmp_path)
