@@ -64,9 +64,10 @@ def _timed_run(runner, cfg):
 
     graph = _build_graph(cfg)
     start = time.perf_counter()
-    # A fresh CodeIndex per run: nothing warm survives from the
-    # previous pass except the store's content-addressed modindex
-    # entries, exactly like a new CI process.
+    # A fresh CodeIndex per run, as every run_graph makes.  Its
+    # import edges come from the process-wide memo (the store's
+    # modindex entries on the first pass), while every file is
+    # re-digested, so the edit below is seen.
     result = runner.run_graph(graph, code=CodeIndex(runner.store))
     return time.perf_counter() - start, result
 

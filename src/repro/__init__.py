@@ -33,23 +33,33 @@ never materialised (bit-identical result under the same seed)::
     result = SimProf().analyze_stream(stream, n_points=20)
 """
 
-from repro.core.pipeline import SimProf, SimProfConfig, SimProfResult
-from repro.core.profiler import ProfilerConfig, SimProfProfiler, StreamingProfiler
-from repro.core.units import JobProfile, SamplingUnit, ThreadProfile
-from repro.jvm.stream import TraceStream
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "JobProfile",
-    "ProfilerConfig",
-    "SamplingUnit",
-    "SimProf",
-    "SimProfConfig",
-    "SimProfProfiler",
-    "SimProfResult",
-    "StreamingProfiler",
-    "ThreadProfile",
-    "TraceStream",
-    "__version__",
-]
+#: Public names and the modules that define them.  They load on first
+#: access (PEP 562), so ``import repro.<subpackage>`` does not pull in
+#: numpy and scipy through this package's init.
+_EXPORTS = {
+    "JobProfile": "repro.core.units",
+    "ProfilerConfig": "repro.core.profiler",
+    "SamplingUnit": "repro.core.units",
+    "SimProf": "repro.core.pipeline",
+    "SimProfConfig": "repro.core.pipeline",
+    "SimProfProfiler": "repro.core.profiler",
+    "SimProfResult": "repro.core.pipeline",
+    "StreamingProfiler": "repro.core.profiler",
+    "ThreadProfile": "repro.core.units",
+    "TraceStream": "repro.jvm.stream",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -43,9 +43,12 @@ Vocabulary
     ``upstream``) against the latest prior manifest of the same
     logical node.
 ``ExperimentRunner.run_graph``
-    (in :mod:`repro.runtime.runner`) executes a plan: ready misses fan
-    out over ``map_tasks``, workers materialise into the shared store
-    and return keys, so serial and parallel runs are byte-identical.
+    (in :mod:`repro.runtime.runner`) executes a plan: serially, ready
+    misses run deepest-first and hand their values to consumers in
+    memory; in parallel they fan out over ``map_tasks``, and workers
+    materialise into the shared store and return keys.  Every value is
+    stored with its manifest either way, so serial and parallel runs
+    are byte-identical.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ __all__ = [
     "resolve_stage_fn",
     "plan_graph",
     "execute_payload",
+    "note_stage_manifest",
     "explain_key",
     "lineage",
     "invalidated_entries",
@@ -131,6 +135,21 @@ STAGE_ATTR = "__simprof_stage__"
 _STATS_FILE = "provenance_stats.json"
 
 _CAUSES = ("new", "params", "code", "upstream")
+
+#: Process-wide memos behind every :class:`CodeIndex`: module
+#: resolution per ``(src_root, module)``, and a module's resolved
+#: project imports per ``(src_root, module, file digest, store root)``.
+#: File digests are still taken on every planning pass, so an on-disk
+#: edit (a new digest) is re-parsed; an unchanged file never is again.
+#: The store root is part of the key so every store still receives its
+#: own modindex entries, whatever the process did before.
+_MODULE_PATHS: dict[tuple[Path, str], Path | None] = {}
+_IMPORT_EDGES: dict[tuple[Path, str, str, Path | None], tuple[str, ...]] = {}
+
+#: Process-wide index of the latest stage manifest per logical node, per
+#: store root: one manifest scan on first use, then kept current by
+#: :func:`note_stage_manifest` as stage entries are written.
+_PRIOR_BY_ROOT: dict[Path, dict[str, ArtifactManifest]] = {}
 
 
 # -- stage functions ----------------------------------------------------------
@@ -203,8 +222,9 @@ class CodeIndex:
     and hashes the sorted ``(module, file digest)`` pairs.  Per-module
     parsing goes through the analysis engine's
     :func:`~repro.analysis.index.build_module_index` and is cached in
-    the artifact store under the file's digest, so a warm planning
-    pass costs one digest + one store read per reachable module.
+    the artifact store under the file's digest, then memoised for the
+    process, so a warm planning pass costs one digest per reachable
+    module (and, once per process, one store read).
     """
 
     def __init__(
@@ -226,12 +246,16 @@ class CodeIndex:
 
     def module_path(self, module: str) -> Path | None:
         """Source file of a project module, or None if not a module."""
+        memo = (self.src_root, module)
+        if memo in _MODULE_PATHS:
+            return _MODULE_PATHS[memo]
         base = self.src_root.joinpath(*module.split("."))
-        init = base / "__init__.py"
-        if init.is_file():
-            return init
-        path = base.with_suffix(".py")
-        return path if path.is_file() else None
+        path = base / "__init__.py"
+        if not path.is_file():
+            path = base.with_suffix(".py")
+        found = path if path.is_file() else None
+        _MODULE_PATHS[memo] = found
+        return found
 
     @staticmethod
     def included(module: str) -> bool:
@@ -260,13 +284,26 @@ class CodeIndex:
         if path is None:
             self._info[module] = None
             return None
-        from repro.analysis.index import (
-            INDEX_VERSION,
-            build_module_index,
-            file_digest,
-        )
+        from repro.analysis.index import file_digest
 
         digest = file_digest(path)
+        edges = (
+            self.src_root,
+            module,
+            digest,
+            None if self.store is None else self.store.root,
+        )
+        if edges not in _IMPORT_EDGES:
+            _IMPORT_EDGES[edges] = self._import_edges(module, path, digest)
+        info = (digest, _IMPORT_EDGES[edges])
+        self._info[module] = info
+        return info
+
+    def _import_edges(
+        self, module: str, path: Path, digest: str
+    ) -> tuple[str, ...]:
+        """The project modules one module file imports (sorted)."""
+        from repro.analysis.index import INDEX_VERSION, build_module_index
 
         def compute() -> dict:
             from repro.analysis.base import ModuleContext
@@ -284,14 +321,12 @@ class CodeIndex:
             )
         else:
             data = compute()
-        deps = []
+        deps = set()
         for candidate in data["import_modules"]:
             resolved = self._as_module(candidate)
             if resolved is not None and resolved != module:
-                deps.append(resolved)
-        info = (digest, tuple(sorted(set(deps))))
-        self._info[module] = info
-        return info
+                deps.add(resolved)
+        return tuple(sorted(deps))
 
     # -- closures ------------------------------------------------------------
 
@@ -439,19 +474,58 @@ def _node_id(graph_name: str, node_name: str) -> str:
     return f"{graph_name}/{node_name.partition('#')[0]}"
 
 
+def _fold_latest(
+    latest: dict[str, ArtifactManifest], manifest: ArtifactManifest
+) -> None:
+    """Record ``manifest`` if it is its logical node's newest stage entry."""
+    node_id = (manifest.provenance or {}).get("node")
+    if manifest.kind != STAGE_KIND or not node_id:
+        return
+    prior = latest.get(node_id)
+    if prior is None or manifest.created > prior.created:
+        latest[node_id] = manifest
+
+
 def _latest_by_node(store: ArtifactStore) -> dict[str, ArtifactManifest]:
-    """Latest stage manifest per logical node id (for miss diagnosis)."""
+    """Latest stage manifest per logical node id (one full scan)."""
     latest: dict[str, ArtifactManifest] = {}
     for manifest in store.entries():
-        if manifest.kind != STAGE_KIND:
-            continue
-        node_id = (manifest.provenance or {}).get("node")
-        if not node_id:
-            continue
-        prior = latest.get(node_id)
-        if prior is None or manifest.created > prior.created:
-            latest[node_id] = manifest
+        _fold_latest(latest, manifest)
     return latest
+
+
+def _prior_manifest(
+    store: ArtifactStore, node_id: str
+) -> ArtifactManifest | None:
+    """Latest stage manifest of a logical node, for miss diagnosis.
+
+    Served from the process-wide index of ``store``'s root.  An indexed
+    entry that has since left the store (gc, quarantine) forces one
+    rescan, so the answer matches a fresh scan of what is on disk.
+    """
+    root = store.root.resolve()
+    latest = _PRIOR_BY_ROOT.get(root)
+    if latest is None:
+        latest = _PRIOR_BY_ROOT[root] = _latest_by_node(store)
+    prior = latest.get(node_id)
+    if prior is not None and not store.contains(prior.key):
+        latest = _PRIOR_BY_ROOT[root] = _latest_by_node(store)
+        prior = latest.get(node_id)
+    return prior
+
+
+def note_stage_manifest(
+    store: ArtifactStore, manifest: ArtifactManifest
+) -> None:
+    """Fold a stage manifest written to ``store`` into the process index.
+
+    :func:`execute_payload` calls it for what it writes; ``run_graph``
+    calls it for the entries its pool workers wrote, whose own process
+    indexes die with them.
+    """
+    latest = _PRIOR_BY_ROOT.get(store.root.resolve())
+    if latest is not None:
+        _fold_latest(latest, manifest)
 
 
 def _miss_cause(
@@ -483,7 +557,6 @@ def plan_graph(
     """Resolve every node's key and provenance record, in topo order."""
     store = store or default_store()
     code = code or CodeIndex(store)
-    prior: dict[str, ArtifactManifest] | None = None
     plans: list[NodePlan] = []
     keys: dict[str, str] = {}
     depths: dict[str, int] = {}
@@ -529,9 +602,7 @@ def plan_graph(
         cached = store.contains(key)
         cause: str | None = None
         if not cached:
-            if prior is None:
-                prior = _latest_by_node(store)
-            cause = _miss_cause(prior.get(record["node"]), record)
+            cause = _miss_cause(_prior_manifest(store, record["node"]), record)
         keys[node.name] = key
         depths[node.name] = depth
         plans.append(
@@ -571,8 +642,12 @@ def execute_payload(payload: dict[str, Any]) -> str | None:
     """Materialise one stage node into the store; return its key.
 
     The pool entry point of ``run_graph`` (module-level, picklable).
-    Values never travel back over the pipe: the parent re-reads the
-    store, so serial and parallel executions are byte-identical.
+    There, values never travel back over the pipe: consumers re-read
+    the store.  A serial ``run_graph`` adds a ``"values"`` entry, its
+    in-process table of artifact key -> value: inputs found there are
+    used as they are, and inputs read from the store and the computed
+    value are added to it.  The value is stored with its manifest
+    either way, so serial and parallel executions are byte-identical.
     Returns None, computing nothing, when an input entry fails to load
     (the store has dropped it); ``run_graph`` then re-plans.
     """
@@ -580,23 +655,27 @@ def execute_payload(payload: dict[str, Any]) -> str | None:
 
     from repro.runtime.instrument import get_instrumentation
 
+    # A store of its own, dropped on return: nothing this node reads or
+    # writes stays pinned in a memory tier beyond ``values``.
     store = ArtifactStore(payload["store_root"])
     key = payload["key"]
     if store.contains(key):
         return key
-    try:
-        inputs = {
-            inp: store.get(dep_key)
-            for inp, dep_key in sorted(payload["dep_keys"].items())
-        }
-    except KeyError:
-        return None
+    table = payload.get("values", {})
+    inputs = {}
+    for inp, dep_key in sorted(payload["dep_keys"].items()):
+        if dep_key not in table:
+            try:
+                table[dep_key] = store.get(dep_key)
+            except KeyError:
+                return None
+        inputs[inp] = table[dep_key]
     fn = resolve_stage_fn(payload["fn"])
     start = time.perf_counter()
     with get_instrumentation().capture() as stage_delta:
         value = fn(inputs, payload["params"])
     elapsed = time.perf_counter() - start
-    store.put(
+    manifest = store.put(
         key,
         value,
         kind=STAGE_KIND,
@@ -610,6 +689,8 @@ def execute_payload(payload: dict[str, Any]) -> str | None:
         },
         provenance=payload["record"],
     )
+    note_stage_manifest(store, manifest)
+    table[key] = value
     return key
 
 

@@ -2,7 +2,8 @@
 
 :meth:`ExperimentRunner.run_graph` plans a
 :class:`~repro.runtime.provenance.StageGraph` against the artifact
-store and fans every ready cache miss out over :func:`map_tasks`.
+store, then runs every ready cache miss: deepest-first in process when
+serial, fanned out over :func:`map_tasks` when parallel.
 :class:`RunSpec` names one (workload, framework, scale, seed, graph,
 params, SimProf knobs) request; :mod:`repro.runtime.stages` wires its
 stage chain into a graph.
@@ -19,9 +20,11 @@ Guarantees:
   degrades to in-process execution;
 * **self-healing** — a planned-cached entry that fails to load (the
   store quarantines it) is re-planned and recomputed once;
-* **deterministic results** — workers only *materialise* artifacts into
-  the content-addressed store and return keys; values are read back
-  from the store, so serial and parallel runs produce identical bytes.
+* **deterministic results** — every stage value is stored with its
+  manifest and digest; pool workers return only keys and consumers
+  read values back from the store, while a serial run hands them over
+  in memory (deepest-first, released after their last consumer), and
+  both produce identical bytes.
 
 Parallelism defaults to serial; set ``SIMPROF_JOBS`` (or pass ``jobs=``)
 to fan out.  Workers open the store by its root, and the store's
@@ -477,14 +480,21 @@ class ExperimentRunner:
         """Execute a stage graph incrementally.
 
         Plans the graph (:func:`~repro.runtime.provenance.plan_graph`),
-        then repeatedly fans every *ready* miss — all upstream nodes
-        cached or already executed — out over :meth:`map_tasks`.
-        Workers materialise into the shared store and return keys, so
-        a parallel run is byte-identical to a serial one; nodes whose
-        full provenance digest matches an existing entry are never
-        re-executed, which is the entire point: after a one-line edit
-        to one estimator, only the stages whose code closure contains
-        that module run again.
+        then runs every *ready* miss — all upstream nodes cached or
+        already executed.  Nodes whose full provenance digest matches
+        an existing entry are never re-executed, which is the entire
+        point: after a one-line edit to one estimator, only the stages
+        whose code closure contains that module run again.
+
+        With one job, misses run one at a time, deepest ready node
+        first, so each chain (trace-gen → profile → … → estimate) ends
+        before the next trace is made; each stage takes its inputs from
+        a per-run table of values produced or loaded in this run, and a
+        value leaves the table once its last consumer has run.  With
+        more, each ready set fans out over :meth:`map_tasks`; workers
+        materialise into the shared store and return keys.  Values are
+        stored with their manifests either way, so a parallel run is
+        byte-identical to a serial one.
 
         Cached entries are not hashed at plan time.  One that fails to
         load as a stage input is dropped by the store; the graph is
@@ -508,6 +518,7 @@ class ExperimentRunner:
         """Plan and execute once; None if a cached input was unreadable."""
         from repro.runtime.provenance import (
             execute_payload,
+            note_stage_manifest,
             record_graph_run,
             worker_payload,
         )
@@ -515,6 +526,14 @@ class ExperimentRunner:
         plans = self.plan_graph(graph, code=code)
         completed = {p.name for p in plans if p.cached}
         pending = [p for p in plans if not p.cached]
+        serial = self.jobs <= 1
+        # Serial hand-off table: artifact key -> value, and how many
+        # pending nodes still consume each key.
+        values: dict[str, Any] = {}
+        consumers: dict[str, int] = {}
+        for plan in pending:
+            for key in _input_keys(plan):
+                consumers[key] = consumers.get(key, 0) + 1
         intact = True
         while pending and intact:
             ready = [
@@ -525,11 +544,36 @@ class ExperimentRunner:
             if not ready:  # pragma: no cover - topo order precludes this
                 stuck = sorted(p.name for p in pending)
                 raise RunnerError(f"stage graph deadlock at {stuck}")
-            keys = self.map_tasks(
-                execute_payload, [worker_payload(p, self.store) for p in ready]
-            )
+            if serial:
+                batch = [max(ready, key=lambda p: p.depth)]
+                keys = self.map_tasks(
+                    lambda payload: execute_payload({**payload, "values": values}),
+                    [worker_payload(p, self.store) for p in batch],
+                )
+            else:
+                batch = ready
+                keys = self.map_tasks(
+                    execute_payload,
+                    [worker_payload(p, self.store) for p in batch],
+                )
+                for key in filter(None, keys):
+                    manifest = self.store.manifest(key)
+                    if manifest is not None:
+                        note_stage_manifest(self.store, manifest)
             intact = None not in keys
-            completed.update(p.name for p in ready)
+            for plan in batch:
+                for key in _input_keys(plan):
+                    consumers[key] -= 1
+                    if not consumers[key]:
+                        values.pop(key, None)
+                if not consumers.get(plan.key):
+                    values.pop(plan.key, None)
+            completed.update(p.name for p in batch)
             pending = [p for p in pending if p.name not in completed]
         record_graph_run(self.store, plans)
         return plans if intact else None
+
+
+def _input_keys(plan: Any) -> list[str]:
+    """The distinct artifact keys one planned node consumes."""
+    return sorted({up["key"] for up in plan.record["upstream"].values()})

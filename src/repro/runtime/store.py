@@ -23,6 +23,7 @@ overridden by ``SIMPROF_CACHE_DIR``.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -151,6 +152,47 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     return repr(obj)
+
+
+# -- payload pickling ---------------------------------------------------------
+
+
+class _Pickler(pickle.Pickler):
+    """Pickles equal numpy dtypes as one shared object.
+
+    Pickle shares objects by identity, and equal dtypes need not be one
+    object: every unpickled array carries its own dtype and ufuncs pass
+    it on to their results.  Without this, a value computed from inputs
+    loaded off the store and the same value computed from in-memory
+    inputs would pickle to different bytes.
+    """
+
+    def __init__(self, file: io.BytesIO) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._dtypes: dict[str, np.dtype] = {}
+
+    def _canonical(self, part: Any) -> Any:
+        if isinstance(part, np.dtype):
+            # The dtype's own reduction tells apart what == does not
+            # (metadata, for one).
+            return self._dtypes.setdefault(repr(part.__reduce__()), part)
+        return part
+
+    def reducer_override(self, obj: Any) -> Any:
+        if type(obj) is not np.ndarray and not isinstance(obj, np.generic):
+            return NotImplemented
+        fn, args, *rest = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        args = tuple(self._canonical(a) for a in args)
+        if rest and isinstance(rest[0], tuple):  # ndarray state
+            rest[0] = tuple(self._canonical(p) for p in rest[0])
+        return (fn, args, *rest)
+
+
+def _dumps(value: Any) -> bytes:
+    """The payload bytes of ``value`` (see :class:`_Pickler`)."""
+    buf = io.BytesIO()
+    _Pickler(buf).dump(value)
+    return buf.getvalue()
 
 
 # -- manifests ----------------------------------------------------------------
@@ -349,7 +391,7 @@ class ArtifactStore:
         provenance: dict[str, Any] | None = None,
     ) -> ArtifactManifest:
         """Store a value and its manifest atomically."""
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = _dumps(value)
         manifest = ArtifactManifest(
             key=key,
             kind=kind or key.split("-", 1)[0],

@@ -230,3 +230,25 @@ class TestSpecNodes:
         n_nodes = len(graph.nodes)
         assert spec_nodes(graph, self._spec(), n_points=20) == first
         assert len(graph.nodes) == n_nodes
+
+
+@pytest.mark.slow
+def test_serial_hand_off_matches_parallel_bytes(tmp_path):
+    """Fig 7 and Table II: in-memory serial and jobs=2 runs store the same bytes."""
+    from repro.experiments.fig07_errors import graph_fig7
+    from repro.experiments.table2 import graph_table2
+    from repro.runtime.store import ArtifactStore
+
+    cfg = ExperimentConfig(scale=0.01, n_sampling_draws=2)
+    graph = StageGraph("handoff")
+    graph_fig7(graph, cfg)
+    graph_table2(graph, cfg.seed)
+    for name, jobs in (("serial", 1), ("parallel", 2)):
+        ExperimentRunner(ArtifactStore(tmp_path / name), jobs=jobs).run_graph(
+            graph
+        )
+    serial = sorted((tmp_path / "serial").glob("stage-*.pkl"))
+    assert len(serial) == len(graph.nodes)
+    for pkl in serial:
+        other = tmp_path / "parallel" / pkl.name
+        assert pkl.read_bytes() == other.read_bytes(), pkl.name

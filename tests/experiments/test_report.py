@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pipeline import SimProfConfig
+from repro.datagen import seeds
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.report import generate_report
 
@@ -38,3 +39,24 @@ def test_generate_report_without_extensions():
     )
     text = generate_report(cfg, include_extensions=False)
     assert "systematic sampling" not in text
+
+
+@pytest.mark.slow
+def test_warm_report_synthesises_no_graphs(monkeypatch):
+    """Table II is a cached stage: a warm report builds no Kronecker graph."""
+    cfg = ExperimentConfig(
+        scale=0.1,
+        n_sampling_draws=3,
+        simprof=SimProfConfig(unit_size=20_000_000, snapshot_period=1_000_000),
+    )
+    cold = generate_report(cfg, include_extensions=False)
+    calls = []
+    real = seeds.generate_kronecker_edges
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(seeds, "generate_kronecker_edges", counting)
+    assert generate_report(cfg, include_extensions=False) == cold
+    assert calls == []

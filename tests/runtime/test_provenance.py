@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.runtime import provenance
 from repro.runtime.provenance import (
     CANONICAL_STAGES,
     CodeIndex,
@@ -51,8 +52,30 @@ def stage_total(inputs, params):
     return sum(inputs["ys"]) + params.get("bias", 0)
 
 
+@stage_fn("report")
+def stage_sum_all(inputs, params):
+    return sum(sum(ys) for _, ys in sorted(inputs.items()))
+
+
 def plain_fn(inputs, params):  # not decorated
     return None
+
+
+def _two_chains() -> StageGraph:
+    """``seq:x -> use:x`` for x in a, b, both feeding ``total``.
+
+    Named so that the name-sorted topological order runs both ``seq``
+    nodes before either ``use`` node.
+    """
+    graph = StageGraph("t")
+    deps = {}
+    for tag, n in (("a", 3), ("b", 4)):
+        seq = graph.node(f"seq:{tag}", stage_seq, params={"n": n})
+        deps[tag] = graph.node(
+            f"use:{tag}", stage_scale, params={"k": 2}, deps={"xs": seq}
+        )
+    graph.node("total", stage_sum_all, deps=deps)
+    return graph
 
 
 def _chain(n: int = 4, k: int = 3, bias: int = 0) -> StageGraph:
@@ -185,6 +208,101 @@ class TestPlanGraph:
             result.key("nope")
 
 
+class TestPriorIndex:
+    """Miss causes come from a per-process index of prior manifests."""
+
+    def test_retune_across_graphs_in_one_process_is_params(self, store):
+        runner = ExperimentRunner(store=store)
+        # The cold run builds the index before it writes anything, so
+        # the causes below depend on its own writes being folded in.
+        runner.run_graph(_chain(bias=0))
+        causes = {p.name: p.cause for p in runner.plan_graph(_chain(bias=7))}
+        assert causes == {"seq": None, "scale": None, "total": "params"}
+
+    @pytest.mark.slow
+    def test_retune_after_parallel_run_is_params(self, store):
+        runner = ExperimentRunner(store=store, jobs=2)
+        runner.run_graph(_two_chains())
+        retuned = _two_chains()
+        retuned.nodes["use:b"].params["k"] = 5
+        causes = {p.name: p.cause for p in runner.plan_graph(retuned)}
+        assert causes["use:b"] == "params"
+        assert causes["total"] == "upstream"
+
+    def test_removed_prior_is_not_diagnosed_against(self, store):
+        runner = ExperimentRunner(store=store)
+        runner.run_graph(_chain(bias=0))
+        store.gc(everything=True)
+        plans = runner.plan_graph(_chain(bias=1))
+        assert [p.cause for p in plans] == ["new", "new", "new"]
+
+
+class TestSerialHandOff:
+    """One job: deepest-first, values handed over in memory."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Per executed node: its name and the hand-off table's keys."""
+        seen = []
+        real = provenance.execute_payload
+
+        def spy(payload):
+            node = payload["record"]["node"].partition("/")[2]
+            seen.append((node, set(payload.get("values", {}))))
+            return real(payload)
+
+        monkeypatch.setattr(provenance, "execute_payload", spy)
+        return seen
+
+    def test_chains_run_deepest_first(self, store, calls):
+        ExperimentRunner(store=store, jobs=1).run_graph(_two_chains())
+        assert [name for name, _ in calls] == [
+            "seq:a", "use:a", "seq:b", "use:b", "total",
+        ]
+
+    def test_values_released_after_last_consumer(self, store, calls):
+        result = ExperimentRunner(store=store, jobs=1).run_graph(_two_chains())
+        held = dict(calls)
+        # seq:a's only consumer ran before seq:b; use:a waits for total.
+        assert result.key("seq:a") not in held["seq:b"]
+        assert result.key("use:a") in held["seq:b"]
+        assert held["total"] == {result.key("use:a"), result.key("use:b")}
+        assert result["total"] == (0 + 2 + 4) + (0 + 2 + 4 + 6)
+
+    def test_inputs_never_reread_from_store(self, store, monkeypatch):
+        reads = []
+        real_get = ArtifactStore.get
+
+        def counting_get(self, key):
+            reads.append(key)
+            return real_get(self, key)
+
+        monkeypatch.setattr(ArtifactStore, "get", counting_get)
+        result = ExperimentRunner(store=store, jobs=1).run_graph(_two_chains())
+        stage_reads = [k for k in reads if k.startswith("stage-")]
+        assert stage_reads == []
+        # Every value is still stored, manifest and digest included.
+        for plan in result.plans:
+            assert store.manifest(plan.key).payload_sha256
+
+    def test_runner_store_keeps_no_trace_in_memory(self, store):
+        result = ExperimentRunner(store=store, jobs=1).run_graph(_two_chains())
+        traces = [p.key for p in result.plans if p.node.stage == "trace-gen"]
+        assert traces and not any(key in store._memory for key in traces)
+
+    def test_stored_input_loaded_once_for_all_consumers(self, store, calls):
+        runner = ExperimentRunner(store=store, jobs=1)
+        first = runner.run_graph(_chain(k=3))
+        graph = _chain(k=3)
+        # A second consumer of the cached "seq", beside a re-run "scale".
+        graph.nodes["scale"].params["k"] = 4
+        graph.node("again", stage_scale, params={"k": 5}, deps={"xs": "seq"})
+        calls.clear()
+        runner.run_graph(graph)
+        assert [name for name, _ in calls] == ["again", "scale", "total"]
+        assert first.key("seq") in calls[1][1]
+
+
 class TestExecutePayload:
     def test_payload_round_trip(self, store):
         plans = plan_graph(_chain(), store)
@@ -292,6 +410,35 @@ class TestCodeIndex:
         stale = invalidated_entries(store, code=edited)
         assert [e["modules"] for e in stale] == [["repro.leaf"]]
         assert runner.run_graph(graph, code=edited).executed == ["seq"]
+
+
+    def test_edit_seen_with_process_memo_warm(
+        self, store, tmp_path, monkeypatch
+    ):
+        from repro.analysis import index as index_mod
+
+        tree = _fake_tree(tmp_path)
+        graph = StageGraph("t")
+        graph.node("seq", stage_seq, params={"n": 2}, code=("repro.mid",))
+        runner = ExperimentRunner(store=store)
+        runner.run_graph(graph, code=CodeIndex(src_root=tree))
+
+        parsed = []
+        real = index_mod.build_module_index
+
+        def counting(ctx, **kwargs):
+            parsed.append(ctx.module)
+            return real(ctx, **kwargs)
+
+        monkeypatch.setattr(index_mod, "build_module_index", counting)
+        # A new index in the same process parses nothing ...
+        assert runner.run_graph(graph, code=CodeIndex(src_root=tree)).hits == 1
+        assert parsed == []
+        # ... yet an on-disk edit is seen: one re-parse, a code miss.
+        _fake_tree(tmp_path, leaf_body="X = 2\n")
+        plans = runner.plan_graph(graph, code=CodeIndex(src_root=tree))
+        assert plans[0].cause == "code"
+        assert parsed == ["repro.leaf"]
 
 
 # -- introspection ------------------------------------------------------------
