@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.common import ExperimentConfig
+from repro.runtime.provenance import provenance_stats
 from repro.runtime.store import default_store
 
 
@@ -33,12 +34,13 @@ def cache_session_report():
     store = default_store()
     yield
     stats = store.stats
-    manifest_hits = sum(m.hits for m in store.entries())
+    reuse = provenance_stats(store)
     emit(
         "Artifact store",
         f"session: {stats.memory_hits} memory hits, {stats.disk_hits} disk "
         f"hits, {stats.misses} misses, {stats.puts} writes\n"
-        f"lifetime manifest hits: {manifest_hits} ({store.root})",
+        f"lifetime node reuse: {reuse['hits']} hit(s) / {reuse['misses']} "
+        f"miss(es) over {reuse['runs']} graph run(s) ({store.root})",
     )
 
 

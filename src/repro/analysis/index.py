@@ -15,7 +15,9 @@ AST:
   taint rules);
 * its import alias table and the modules it imports (the project
   import graph's edges, which ``--changed`` uses for the
-  reverse-dependency closure).
+  reverse-dependency closure; collected by
+  :func:`repro.runtime.provenance.import_candidates`, the same scan
+  that code fingerprints use).
 
 A :class:`ProjectIndex` is the pass-2 view over every module's index:
 class resolution across modules (attribute maps merged over the base
@@ -28,9 +30,7 @@ on re-analysis.
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 from repro.analysis.base import ModuleContext
@@ -43,7 +43,6 @@ __all__ = [
     "ModuleIndex",
     "ProjectIndex",
     "build_module_index",
-    "file_digest",
 ]
 
 #: Bump when the index schema or extraction logic changes so cached
@@ -92,11 +91,6 @@ _MUTATOR_METHODS = frozenset(
         "fill",
     }
 )
-
-
-def file_digest(path: str | Path) -> str:
-    """SHA-256 of a file's raw bytes (the pass-1 cache identity)."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -392,29 +386,18 @@ def _function_info(
     )
 
 
-def _import_candidates(tree: ast.Module) -> tuple[str, ...]:
-    """Dotted names this module's imports might resolve to as modules."""
-    out: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                out.add(alias.name)
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            out.add(node.module)
-            for alias in node.names:
-                if alias.name != "*":
-                    out.add(f"{node.module}.{alias.name}")
-    return tuple(sorted(out))
-
-
 def build_module_index(ctx: ModuleContext, *, digest: str = "") -> ModuleIndex:
     """Distil one parsed module into its :class:`ModuleIndex`."""
+    # Imported here: ``import repro.analysis`` stays free of the numeric
+    # stack the runtime package loads.
+    from repro.runtime.provenance import import_candidates
+
     index = ModuleIndex(
         module=ctx.module,
         path=ctx.path,
         digest=digest,
         imports=dict(ctx._aliases),
-        import_modules=_import_candidates(ctx.tree),
+        import_modules=import_candidates(ctx.tree),
     )
     for node in ctx.tree.body:
         if isinstance(node, ast.ClassDef):

@@ -678,15 +678,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         now = time.time()
         print(
             format_table(
-                ["key", "kind", "ver", "size", "hits", "compute", "depth",
-                 "age"],
+                ["key", "kind", "ver", "size", "compute", "depth", "age"],
                 [
                     (
                         m.key,
                         m.kind,
                         m.version,
                         f"{m.size_bytes / 1024:.0f}K",
-                        m.hits,
                         f"{m.compute_seconds:.2f}s",
                         (m.provenance or {}).get("depth", "-"),
                         _format_age(now - m.created) if m.created else "?",
@@ -1003,6 +1001,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_stats() -> int:
     from repro.experiments.common import format_table
+    from repro.runtime.provenance import provenance_stats
     from repro.runtime.store import default_store
 
     store = default_store()
@@ -1018,10 +1017,8 @@ def _cmd_stats() -> int:
         )
     stages: dict[str, tuple[int, float]] = {}
     counters: dict[str, dict[str, float]] = {}
-    total_hits = 0
     total_compute = 0.0
     for manifest in entries:
-        total_hits += manifest.hits
         total_compute += manifest.compute_seconds
         for name, seconds in manifest.stages.items():
             calls, secs = stages.get(name, (0, 0.0))
@@ -1070,9 +1067,11 @@ def _cmd_stats() -> int:
                 title="Streaming throughput",
             )
         )
+    reuse = provenance_stats(store)
     print(
         f"\ncompute invested: {total_compute:.2f}s; "
-        f"manifest hits since creation: {total_hits} "
+        f"node reuse over {reuse['runs']} graph run(s): "
+        f"{reuse['hits']} hit(s) / {reuse['misses']} miss(es) "
         f"(cache dir {store.root})"
     )
     return 0

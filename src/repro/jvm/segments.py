@@ -39,6 +39,8 @@ __all__ = [
     "empty_segment_array",
     "segments_to_array",
     "array_to_segments",
+    "pack_columns",
+    "unpack_columns",
     "segment_checksum",
 ]
 
@@ -68,6 +70,9 @@ CHECKSUM_FIELDS: tuple[str, ...] = SEGMENT_FIELDS[:8]
 
 _N_FIELDS = len(SEGMENT_FIELDS)
 _N_CHECKSUM = len(CHECKSUM_FIELDS)
+
+#: Candidate column types at rest, narrowest first.
+_NARROW_DTYPES = tuple(np.dtype(t) for t in ("<i1", "<i2", "<i4", "<i8"))
 
 
 def empty_segment_array() -> np.ndarray:
@@ -122,6 +127,38 @@ def array_to_segments(data: np.ndarray) -> tuple[TraceSegment, ...]:
         )
         for row in data  # simprof: ignore[SPA008] -- the one sanctioned adapter
     )
+
+
+def pack_columns(data: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The columns of a packed array, each narrowed for storage.
+
+    One array per :data:`SEGMENT_FIELDS` entry, in field order, each in
+    the smallest signed integer type that holds the column's minimum
+    and maximum.  The choice follows the data: ``cold`` flags and
+    ``op_kind`` codes fit one byte, counters wider than 32 bits stay
+    64-bit.  :func:`unpack_columns` inverts it exactly.
+    """
+    columns = []
+    for name in SEGMENT_FIELDS:
+        column = data[name]
+        dtype = _NARROW_DTYPES[0]
+        if len(column):
+            lo, hi = int(column.min()), int(column.max())
+            dtype = next(
+                d
+                for d in _NARROW_DTYPES
+                if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max
+            )
+        columns.append(column.astype(dtype))
+    return tuple(columns)
+
+
+def unpack_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """The :data:`SEGMENT_DTYPE` array :func:`pack_columns` was given."""
+    out = np.empty(len(columns[0]), dtype=SEGMENT_DTYPE)
+    for name, column in zip(SEGMENT_FIELDS, columns):
+        out[name] = column
+    return out
 
 
 def segment_checksum(

@@ -14,7 +14,7 @@ JVMTI/perf-like interfaces in :mod:`repro.jvm.jvmti` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,54 +53,111 @@ class TraceSegment:
         return self.cycles / self.instructions if self.instructions else 0.0
 
 
-@dataclass
 class ThreadTrace:
     """The ordered segments of one executor thread.
 
     ``start_cycle`` anchors the trace on the global job timeline so
     short-lived Hadoop task threads can be merged per core in time
     order (Section III-A).
+
+    At rest (pickled into the artifact store) a trace is its packed
+    columns, each narrowed to the smallest integer type that holds it
+    (:func:`~repro.jvm.segments.pack_columns`).  A loaded trace keeps
+    only the packed array: :meth:`to_structured`, :meth:`to_arrays`,
+    the totals and ``len`` read it directly, and the
+    :class:`TraceSegment` objects are built on the first read of
+    :attr:`segments`.
     """
 
-    thread_id: int
-    core_id: int
-    segments: list[TraceSegment] = field(default_factory=list)
-    start_cycle: int = 0
-    # Totals cache: (epoch, n_segments, instructions, cycles).  Hot
-    # profiler loops read the totals per unit, so re-summing the whole
-    # segment list per access is O(trace) where O(1) suffices.  The key
-    # includes an epoch bumped by clear_segments() because a streaming
-    # flush can clear and repopulate to the same length.
-    _totals_cache: tuple[int, int, int, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # Packed-array cache: ((epoch, n_segments), SEGMENT_DTYPE array).
-    # Shared by to_structured()/to_arrays() so the replay streamer, the
-    # snapshotter, and the counter reader pack each trace state once.
-    _structured_cache: "tuple[tuple[int, int], np.ndarray] | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _epoch: int = field(default=0, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        thread_id: int,
+        core_id: int,
+        segments: list[TraceSegment] | None = None,
+        start_cycle: int = 0,
+    ) -> None:
+        self.thread_id = thread_id
+        self.core_id = core_id
+        self.start_cycle = start_cycle
+        # None while the trace holds only its packed array (a loaded
+        # trace); the objects are then built on first access.
+        self._segments: list[TraceSegment] | None = (
+            [] if segments is None else segments
+        )
+        # Totals cache: (epoch, n_segments, instructions, cycles).  Hot
+        # profiler loops read the totals per unit, so re-summing the
+        # whole segment list per access is O(trace) where O(1)
+        # suffices.  The key includes an epoch bumped by
+        # clear_segments() because a streaming flush can clear and
+        # repopulate to the same length.
+        self._totals_cache: tuple[int, int, int, int] | None = None
+        # Packed-array cache: ((epoch, n_segments), SEGMENT_DTYPE array).
+        # Shared by to_structured()/to_arrays() so the replay streamer,
+        # the snapshotter, and the counter reader pack each trace state
+        # once.
+        self._structured_cache: "tuple[tuple[int, int], np.ndarray] | None" = None
+        self._epoch = 0
+
+    def __repr__(self) -> str:
+        return (
+            f"ThreadTrace(thread_id={self.thread_id!r}, "
+            f"core_id={self.core_id!r}, n_segments={len(self)}, "
+            f"start_cycle={self.start_cycle!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ThreadTrace):
+            return NotImplemented
+        return (
+            self.thread_id == other.thread_id
+            and self.core_id == other.core_id
+            and self.start_cycle == other.start_cycle
+            and np.array_equal(self.to_structured(), other.to_structured())
+        )
+
+    def __reduce__(self) -> tuple:
+        from repro.jvm.segments import pack_columns
+
+        return (
+            _unpack_thread_trace,
+            (
+                self.thread_id,
+                self.core_id,
+                self.start_cycle,
+                pack_columns(self.to_structured()),
+            ),
+        )
+
+    @property
+    def segments(self) -> list[TraceSegment]:
+        """The segment objects (built from the packed array on first read)."""
+        if self._segments is None:
+            from repro.jvm.segments import array_to_segments
+
+            self._segments = list(array_to_segments(self._structured_cache[1]))
+        return self._segments
 
     def __len__(self) -> int:
-        return len(self.segments)
+        if self._segments is None:
+            return len(self._structured_cache[1])
+        return len(self._segments)
 
     def _totals(self) -> tuple[int, int]:
+        n = len(self)
         cache = self._totals_cache
-        if (
-            cache is not None
-            and cache[0] == self._epoch
-            and cache[1] == len(self.segments)
-        ):
+        if cache is not None and cache[0] == self._epoch and cache[1] == n:
             return cache[2], cache[3]
-        instructions = 0
-        cycles = 0
-        for s in self.segments:
-            instructions += s.instructions
-            cycles += s.cycles
-        self._totals_cache = (
-            self._epoch, len(self.segments), instructions, cycles
-        )
+        if self._segments is None:
+            data = self._structured_cache[1]
+            instructions = int(data["instructions"].sum())
+            cycles = int(data["cycles"].sum())
+        else:
+            instructions = 0
+            cycles = 0
+            for s in self._segments:
+                instructions += s.instructions
+                cycles += s.cycles
+        self._totals_cache = (self._epoch, n, instructions, cycles)
         return instructions, cycles
 
     @property
@@ -120,7 +177,10 @@ class ThreadTrace:
         length); clearing does, because a later refill could reach the
         same length with different segments.
         """
-        self.segments.clear()
+        if self._segments is None:
+            self._segments = []
+        else:
+            self._segments.clear()
         self._structured_cache = None
         self._epoch += 1
 
@@ -137,15 +197,18 @@ class ThreadTrace:
         ``op_kind`` coded via ``OP_KIND_CODES``.  Cached under the same
         (epoch, length) key as the totals, so repeat packers (replay
         streaming, the snapshotter, the counter reader) pay the
-        object-walk once per trace state.
+        object-walk once per trace state.  A loaded trace returns the
+        array it was loaded with.
         """
         from repro.jvm.segments import segments_to_array
 
         cache = self._structured_cache
-        key = (self._epoch, len(self.segments))
+        if self._segments is None:
+            return cache[1]
+        key = (self._epoch, len(self._segments))
         if cache is not None and cache[0] == key:
             return cache[1]
-        data = segments_to_array(self.segments)
+        data = segments_to_array(self._segments)
         data.setflags(write=False)
         self._structured_cache = (key, data)
         return data
@@ -209,6 +272,29 @@ class ThreadTrace:
         for t in ordered:
             merged.segments.extend(t.segments)
         return merged
+
+
+def _unpack_thread_trace(
+    thread_id: int,
+    core_id: int,
+    start_cycle: int,
+    columns: tuple[np.ndarray, ...],
+) -> ThreadTrace:
+    """Rebuild a pickled :class:`ThreadTrace` from its packed columns.
+
+    The trace keeps the packed array only; its segment objects wait for
+    the first read of :attr:`ThreadTrace.segments`.
+    """
+    from repro.jvm.segments import unpack_columns
+
+    trace = ThreadTrace(
+        thread_id=thread_id, core_id=core_id, start_cycle=start_cycle
+    )
+    data = unpack_columns(columns)
+    data.setflags(write=False)
+    trace._segments = None
+    trace._structured_cache = ((trace._epoch, len(data)), data)
+    return trace
 
 
 class TraceBuilder:

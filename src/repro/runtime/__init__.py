@@ -3,8 +3,8 @@
 Three layers every experiment driver builds on:
 
 * :mod:`repro.runtime.store` — content-addressed artifact store with
-  stable parameter hashing, atomic writes, versioned manifests and hit
-  counters (``SIMPROF_CACHE_DIR`` sets the location);
+  stable parameter hashing, atomic writes and versioned manifests
+  (``SIMPROF_CACHE_DIR`` sets the location);
 * :mod:`repro.runtime.runner` — incremental execution of stage graphs
   (:mod:`repro.runtime.provenance`) across a process pool
   (``SIMPROF_JOBS``), cache-aware and deterministic;

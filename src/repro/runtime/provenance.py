@@ -9,9 +9,10 @@ identity of the computation that produced it:
 * the **upstream artifact keys** it consumed (which recursively encode
   *their* provenance — a Merkle chain over the whole pipeline), and
 * a **code fingerprint**: the digest of every project module reachable
-  from the stage's declared code roots through the import graph (the
-  analysis engine's :class:`~repro.analysis.index.ModuleIndex` supplies
-  both the per-file digests and the import edges).
+  from the stage's declared code roots through the import graph (file
+  digests are SHA-256 of the source bytes; import edges come from
+  :func:`import_candidates`, a statement-only walk of the module's
+  syntax tree).
 
 The artifact key is derived from exactly this material, so a stage is
 recomputed *iff* its parameters, its reachable code, or anything
@@ -53,6 +54,8 @@ Vocabulary
 
 from __future__ import annotations
 
+import ast
+import hashlib
 import importlib
 import json
 from dataclasses import dataclass, field
@@ -74,7 +77,10 @@ __all__ = [
     "MODINDEX_KIND",
     "ORCHESTRATION_PREFIXES",
     "CANONICAL_STAGES",
+    "IMPORTS_VERSION",
     "CodeIndex",
+    "import_candidates",
+    "scan_imports",
     "StageNode",
     "StageGraph",
     "NodePlan",
@@ -99,9 +105,14 @@ PROVENANCE_VERSION = 1
 #: Store kind of graph-produced artifacts (one per stage node).
 STAGE_KIND = "stage"
 
-#: Store kind of cached per-module indexes (pass-1 of the analysis
-#: engine, reused here for import edges + file digests).
+#: Store kind of cached per-module import scans: the sorted candidate
+#: list of :func:`import_candidates`, keyed on module, file digest and
+#: :data:`IMPORTS_VERSION`.
 MODINDEX_KIND = "modindex"
+
+#: Bump when :func:`import_candidates` changes what it collects, so
+#: ``modindex`` entries written by an older scan are never read.
+IMPORTS_VERSION = 1
 
 #: The pipeline's canonical stage order (documentation + display).
 CANONICAL_STAGES = (
@@ -213,18 +224,58 @@ def resolve_stage_fn(ref: str) -> Callable:
 
 # -- the code index -----------------------------------------------------------
 
+#: Fields of a statement that hold nested statement lists (the
+#: ``handlers`` of a ``try`` and the ``cases`` of a ``match`` hold
+#: nodes whose ``body`` is one).  Imports are statements, so these are
+#: the only places one can sit.
+_STATEMENT_LISTS = ("body", "orelse", "finalbody", "handlers", "cases")
+
+
+def import_candidates(tree: ast.Module) -> tuple[str, ...]:
+    """Dotted names this module's imports might resolve to as modules.
+
+    ``import a.b`` gives ``a.b``; ``from a import b`` gives ``a`` and
+    ``a.b`` (``b`` may be a submodule or a symbol); relative imports
+    and ``*`` are skipped.  Only statement lists are walked, never
+    expressions, which makes this several times cheaper than a full
+    :func:`ast.walk`.  The analysis engine's module index shares this
+    body, so ``simprof check`` and code fingerprints agree on the
+    import graph.
+    """
+    out: set[str] = set()
+    stack: list[ast.AST] = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out.add(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module and node.level == 0:
+                out.add(node.module)
+                for alias in node.names:
+                    if alias.name != "*":
+                        out.add(f"{node.module}.{alias.name}")
+        else:
+            for name in _STATEMENT_LISTS:
+                stack.extend(getattr(node, name, ()))
+    return tuple(sorted(out))
+
+
+def scan_imports(source: bytes | str, module: str) -> tuple[str, ...]:
+    """Parse one module's source and return its :func:`import_candidates`."""
+    return import_candidates(ast.parse(source, filename=module))
+
 
 class CodeIndex:
     """Per-stage code fingerprints from the project import graph.
 
     Walks the *forward* import closure from a stage's declared code
     roots — project modules only, orchestration prefixes excluded —
-    and hashes the sorted ``(module, file digest)`` pairs.  Per-module
-    parsing goes through the analysis engine's
-    :func:`~repro.analysis.index.build_module_index` and is cached in
-    the artifact store under the file's digest, then memoised for the
-    process, so a warm planning pass costs one digest per reachable
-    module (and, once per process, one store read).
+    and hashes the sorted ``(module, file digest)`` pairs.  A module's
+    import candidates (:func:`scan_imports`) are cached in the artifact
+    store under the file's digest, then memoised for the process, so a
+    warm planning pass costs one digest per reachable module (and, once
+    per process, one store read).
     """
 
     def __init__(
@@ -284,9 +335,8 @@ class CodeIndex:
         if path is None:
             self._info[module] = None
             return None
-        from repro.analysis.index import file_digest
-
-        digest = file_digest(path)
+        source = path.read_bytes()
+        digest = hashlib.sha256(source).hexdigest()
         edges = (
             self.src_root,
             module,
@@ -294,35 +344,29 @@ class CodeIndex:
             None if self.store is None else self.store.root,
         )
         if edges not in _IMPORT_EDGES:
-            _IMPORT_EDGES[edges] = self._import_edges(module, path, digest)
+            _IMPORT_EDGES[edges] = self._import_edges(module, source, digest)
         info = (digest, _IMPORT_EDGES[edges])
         self._info[module] = info
         return info
 
     def _import_edges(
-        self, module: str, path: Path, digest: str
+        self, module: str, source: bytes, digest: str
     ) -> tuple[str, ...]:
         """The project modules one module file imports (sorted)."""
-        from repro.analysis.index import INDEX_VERSION, build_module_index
 
-        def compute() -> dict:
-            from repro.analysis.base import ModuleContext
-
-            ctx = ModuleContext(
-                path.read_text(encoding="utf-8"), path=str(path), module=module
-            )
-            return build_module_index(ctx, digest=digest).to_dict()
+        def compute() -> tuple[str, ...]:
+            return scan_imports(source, module)
 
         if self.store is not None:
-            data = self.store.get_or_compute(
+            candidates = self.store.get_or_compute(
                 MODINDEX_KIND,
-                {"module": module, "digest": digest, "index": INDEX_VERSION},
+                {"module": module, "digest": digest, "imports": IMPORTS_VERSION},
                 compute,
             )
         else:
-            data = compute()
+            candidates = compute()
         deps = set()
-        for candidate in data["import_modules"]:
+        for candidate in candidates:
             resolved = self._as_module(candidate)
             if resolved is not None and resolved != module:
                 deps.add(resolved)

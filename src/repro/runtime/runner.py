@@ -34,6 +34,7 @@ atomic unique-tempfile writes make concurrent materialisation safe.
 from __future__ import annotations
 
 import os
+import reprlib
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -99,6 +100,7 @@ def map_tasks(
     seed: int = 0,
     initializer: Callable[..., None] | None = None,
     initargs: tuple[Any, ...] = (),
+    label: Callable[[Any], str] = reprlib.repr,
 ) -> list[Any]:
     """Order-preserving parallel map with the runner's failure semantics.
 
@@ -112,7 +114,8 @@ def map_tasks(
     * per-item bounded retries with exponential backoff and
       deterministic per-item jitter (``backoff * 2**attempt`` seconds
       stretched by ``site_rng(seed, "runner.backoff", item, attempt)``),
-      surfacing as :class:`RunnerError` when exhausted;
+      surfacing as :class:`RunnerError` when exhausted, which names the
+      item by ``label(item)`` (a size-bounded ``repr`` by default);
     * a broken pool (OOM-killed worker, fork failure) degrades to
       in-process execution of the unfinished items — ``initializer``
       is then invoked locally so per-process context stays available.
@@ -139,7 +142,7 @@ def map_tasks(
             except Exception as exc:  # noqa: BLE001 - rewrapped below
                 last = exc
         raise RunnerError(
-            f"task {item!r} failed after {retries + 1} attempts: {last}"
+            f"task {label(item)} failed after {retries + 1} attempts: {last}"
         ) from last
 
     if jobs <= 1 or len(work) <= 1:
@@ -171,7 +174,7 @@ def map_tasks(
                     attempts[i] += 1
                     if attempts[i] > retries:
                         raise RunnerError(
-                            f"task {work[i]!r} failed after "
+                            f"task {label(work[i])} failed after "
                             f"{retries + 1} attempts: {exc}"
                         ) from exc
                     sleep_before_retry(attempts[i] - 1, i)
@@ -455,6 +458,7 @@ class ExperimentRunner:
         *,
         initializer: Callable[..., None] | None = None,
         initargs: tuple[Any, ...] = (),
+        label: Callable[[Any], str] = reprlib.repr,
     ) -> list[Any]:
         """Run :func:`map_tasks` with this runner's jobs/retries/backoff."""
         return map_tasks(
@@ -466,6 +470,7 @@ class ExperimentRunner:
             seed=self.seed,
             initializer=initializer,
             initargs=initargs,
+            label=label,
         )
 
     def plan_graph(self, graph: Any, *, code: Any | None = None) -> list[Any]:
@@ -549,12 +554,14 @@ class ExperimentRunner:
                 keys = self.map_tasks(
                     lambda payload: execute_payload({**payload, "values": values}),
                     [worker_payload(p, self.store) for p in batch],
+                    label=_node_label,
                 )
             else:
                 batch = ready
                 keys = self.map_tasks(
                     execute_payload,
                     [worker_payload(p, self.store) for p in batch],
+                    label=_node_label,
                 )
                 for key in filter(None, keys):
                     manifest = self.store.manifest(key)
@@ -572,6 +579,11 @@ class ExperimentRunner:
             pending = [p for p in pending if p.name not in completed]
         record_graph_run(self.store, plans)
         return plans if intact else None
+
+
+def _node_label(payload: dict[str, Any]) -> str:
+    """A failed stage node's name in a :class:`RunnerError` message."""
+    return f"{payload['record']['node']} ({payload['key']})"
 
 
 def _input_keys(plan: Any) -> list[str]:

@@ -13,8 +13,8 @@ parameter set that produced it:
   ``os.replace``, so concurrent writers (the parallel runner, or two
   benchmark sessions) never observe torn entries,
 * every entry carries a JSON manifest: the parameters, when and how long
-  it took to compute, per-stage timings, payload size, and a hit
-  counter.
+  it took to compute, per-stage timings and payload size.  Manifests are
+  written once, with their entry: reading an entry writes nothing.
 
 The store location defaults to ``~/.cache/simprof-repro`` and is
 overridden by ``SIMPROF_CACHE_DIR``.
@@ -209,7 +209,6 @@ class ArtifactManifest:
     created: float = 0.0
     compute_seconds: float = 0.0
     size_bytes: int = 0
-    hits: int = 0
     stages: dict[str, float] = field(default_factory=dict)
     # Per-stage numeric counters captured during the compute (e.g. the
     # streaming profiler's units / unit_seconds), keyed stage → counter.
@@ -233,7 +232,6 @@ class ArtifactManifest:
                 "created": self.created,
                 "compute_seconds": self.compute_seconds,
                 "size_bytes": self.size_bytes,
-                "hits": self.hits,
                 "stages": self.stages,
                 "counters": self.counters,
                 "payload_sha256": self.payload_sha256,
@@ -254,7 +252,6 @@ class ArtifactManifest:
             created=data.get("created", 0.0),
             compute_seconds=data.get("compute_seconds", 0.0),
             size_bytes=data.get("size_bytes", 0),
-            hits=data.get("hits", 0),
             stages=data.get("stages", {}),
             counters=data.get("counters", {}),
             payload_sha256=data.get("payload_sha256", ""),
@@ -344,8 +341,9 @@ class ArtifactStore:
     def get(self, key: str) -> Any:
         """Load an entry, or raise ``KeyError``.
 
-        Disk hits are promoted to the memory tier and bump the
-        manifest's hit counter (best-effort, atomic).
+        Disk hits are promoted to the memory tier.  A read writes
+        nothing: reuse is counted per graph run by the provenance
+        plane's stats sidecar, not per entry.
         """
         if key in self._memory:
             self.stats.memory_hits += 1
@@ -375,7 +373,6 @@ class ArtifactStore:
             raise KeyError(key) from None
         self.stats.disk_hits += 1
         self._memory[key] = value
-        self._record_hit(key, manifest)
         return value
 
     def put(
@@ -457,7 +454,7 @@ class ArtifactStore:
 
         The replication plane ships entries byte-for-byte — no
         unpickle, no digest check (the caller verifies against the
-        manifest), no hit-counter bump.
+        manifest).
         """
         try:
             return self._value_path(key).read_bytes()
@@ -585,18 +582,6 @@ class ArtifactStore:
         except Exception:
             return "corrupt"
         return "ok"
-
-    def _record_hit(self, key: str, manifest: ArtifactManifest | None) -> None:
-        """Bump the hit counter of ``key``'s already-parsed manifest (best-effort)."""
-        if manifest is None:
-            return
-        manifest.hits += 1
-        try:
-            _atomic_write_bytes(
-                self._manifest_path(key), manifest.to_json().encode()
-            )
-        except OSError:  # pragma: no cover - read-only cache dirs etc.
-            pass
 
     def entries(self) -> Iterator[ArtifactManifest]:
         """Manifests of all on-disk entries (synthesised if missing)."""

@@ -190,6 +190,18 @@ class SparkContext:
             meta=self._trace_meta(),
         )
 
+    def stop(self) -> None:
+        """Release the executors and the scheduler (``sc.stop()``).
+
+        Both point back at the context, so until this breaks the cycles
+        a finished job (its trace segments, its input and shuffle
+        data) lives on until the garbage collector's next full pass.
+        Call it once the trace is exported; the context runs nothing
+        after.
+        """
+        self.executors = []
+        self.scheduler = None
+
     def flush_trace_events(self) -> None:
         """Ship segments accumulated since the last flush (streaming).
 

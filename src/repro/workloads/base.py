@@ -130,7 +130,9 @@ class Workload(abc.ABC):
             ctx = SparkContext(self._spark_config(inp, spark_config), faults=faults)
             meta = self.prepare_input(ctx.fs, inp)
             self.run_spark(ctx, meta)
-            return ctx.job_trace(self.name, input_name=inp.name)
+            trace = ctx.job_trace(self.name, input_name=inp.name)
+            ctx.stop()
+            return trace
         if framework == "hadoop":
             cluster = HadoopCluster(
                 self._hadoop_config(inp, hadoop_config), faults=faults

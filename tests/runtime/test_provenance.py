@@ -11,6 +11,13 @@ integration test exercises the real trace-gen→profile chain through
 
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.runtime import provenance
@@ -21,6 +28,7 @@ from repro.runtime.provenance import (
     execute_payload,
     explain_key,
     fn_ref,
+    import_candidates,
     invalidated_entries,
     lineage,
     plan_graph,
@@ -33,6 +41,8 @@ from repro.runtime.provenance import (
 )
 from repro.runtime.runner import ExperimentRunner
 from repro.runtime.store import ArtifactStore
+
+_REPO = Path(__file__).resolve().parents[2]
 
 # -- synthetic stage functions (module-level: workers re-resolve them) --------
 
@@ -415,7 +425,7 @@ class TestCodeIndex:
     def test_edit_seen_with_process_memo_warm(
         self, store, tmp_path, monkeypatch
     ):
-        from repro.analysis import index as index_mod
+        from repro.runtime import provenance as provenance_mod
 
         tree = _fake_tree(tmp_path)
         graph = StageGraph("t")
@@ -424,13 +434,13 @@ class TestCodeIndex:
         runner.run_graph(graph, code=CodeIndex(src_root=tree))
 
         parsed = []
-        real = index_mod.build_module_index
+        real = provenance_mod.scan_imports
 
-        def counting(ctx, **kwargs):
-            parsed.append(ctx.module)
-            return real(ctx, **kwargs)
+        def counting(source, module):
+            parsed.append(module)
+            return real(source, module)
 
-        monkeypatch.setattr(index_mod, "build_module_index", counting)
+        monkeypatch.setattr(provenance_mod, "scan_imports", counting)
         # A new index in the same process parses nothing ...
         assert runner.run_graph(graph, code=CodeIndex(src_root=tree)).hits == 1
         assert parsed == []
@@ -439,6 +449,79 @@ class TestCodeIndex:
         plans = runner.plan_graph(graph, code=CodeIndex(src_root=tree))
         assert plans[0].cause == "code"
         assert parsed == ["repro.leaf"]
+
+
+def _reference_candidates(tree: ast.Module) -> tuple[str, ...]:
+    """The import candidates of a full :func:`ast.walk` (the old scan)."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out.add(alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            out.add(node.module)
+            for alias in node.names:
+                if alias.name != "*":
+                    out.add(f"{node.module}.{alias.name}")
+    return tuple(sorted(out))
+
+
+class TestImportScan:
+    def test_statement_walk_matches_full_walk_on_the_repo(self):
+        paths = sorted(
+            path
+            for top in ("src", "tests", "benchmarks")
+            for path in (_REPO / top).rglob("*.py")
+        )
+        assert len(paths) > 100
+        for path in paths:
+            tree = ast.parse(path.read_bytes(), filename=str(path))
+            assert import_candidates(tree) == _reference_candidates(tree), path
+
+    def test_nested_statement_lists(self):
+        source = textwrap.dedent(
+            """
+            import a
+            from . import rel
+            from b import *
+            def f():
+                class C:
+                    import c.d
+                try:
+                    from e import g
+                except ImportError:
+                    import h
+                else:
+                    import i
+                finally:
+                    import j
+                match x:
+                    case 1:
+                        import k
+                while x:
+                    pass
+                else:
+                    with y:
+                        import l
+            lambda: __import__("not_a_statement")
+            """
+        )
+        tree = ast.parse(source)
+        assert import_candidates(tree) == (
+            "a", "b", "c.d", "e", "e.g", "h", "i", "j", "k", "l",
+        )
+        assert import_candidates(tree) == _reference_candidates(tree)
+
+    def test_fingerprinting_leaves_the_analysis_engine_unloaded(self):
+        code = (
+            "import sys\n"
+            "from repro.runtime.provenance import CodeIndex\n"
+            "CodeIndex().fingerprint(['repro.experiments.fig07_errors'])\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('repro.analysis'))\n"
+            "assert not loaded, loaded\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(_REPO / "src")}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # -- introspection ------------------------------------------------------------

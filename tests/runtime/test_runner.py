@@ -235,6 +235,21 @@ class TestRunnerSerial:
             ).run_graph(graph)
         assert len(calls) == 2
 
+    def test_failed_node_error_is_short_and_named(self, tmp_path, monkeypatch):
+        def always_fails(payload):
+            raise OSError("persistent failure")
+
+        monkeypatch.setattr(provenance, "execute_payload", always_fails)
+        graph, [nodes] = _graph([_spec()], want="profile")
+        with pytest.raises(RunnerError) as failed:
+            ExperimentRunner(
+                ArtifactStore(tmp_path), jobs=1, retries=0
+            ).run_graph(graph)
+        message = str(failed.value)
+        assert len(message) < 500, message
+        assert f"test/{nodes['trace']}" in message
+        assert "persistent failure" in message
+
 
 def _assert_same_pickles(reference, other) -> None:
     pkls = sorted(reference.glob("*.pkl"))
