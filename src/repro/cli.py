@@ -117,10 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "of the profiling session to the artifact store "
                       "every N segment batches (off by default: zero "
                       "overhead)")
-    prof.add_argument("--from-peer", default=None, metavar="PEER",
-                      help="with --resume: pull this job's checkpoint chain "
-                           "from a replica peer directory before resuming "
-                           "(disaster recovery without a shared filesystem)")
     prof.add_argument("--resume", action="store_true",
                       help="with --checkpoint-every: resume from the "
                       "latest checkpoint of an identical interrupted "
@@ -198,18 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         "checkpoints",
         help="list, inspect or gc in-flight stream checkpoints",
     )
-    cache_ckpt.add_argument("--fleet", action="store_true",
-                            help="summarise the in-flight job journal: one "
-                                 "row per job with chain length and peer "
-                                 "acknowledgement state")
-    cache_ckpt.add_argument("--peer", default=None, metavar="PEER",
-                            help="replica peer directory to check "
-                                 "acknowledgements against (default: "
-                                 "$SIMPROF_REPLICA_PEER)")
-    cache_ckpt.add_argument("--force", action="store_true",
-                            help="with --gc: collect chain entries even if "
-                                 "the configured peer has not acknowledged "
-                                 "them")
     cache_ckpt.add_argument("--inspect", default=None, metavar="KEY",
                             help="decode one checkpoint's snapshot and "
                             "summarise its components")
@@ -218,27 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "listing them")
     cache_ckpt.add_argument("--job", default=None, metavar="JOBKEY",
                             help="restrict listing/gc to one job key")
-    cache_rep = cache_sub.add_parser(
-        "replicate",
-        help="push checkpoint chains and the in-flight journal to a "
-             "replica peer (or pull them back with --pull)",
-    )
-    cache_rep.add_argument("peer", help="peer store directory")
-    cache_rep.add_argument("--watch", action="store_true",
-                           help="keep sweeping every --interval seconds")
-    cache_rep.add_argument("--interval", type=float, default=2.0,
-                           help="seconds between --watch sweeps (default 2)")
-    cache_rep.add_argument("--rounds", type=int, default=None,
-                           help="with --watch: stop after N sweeps "
-                                "(default: run until interrupted)")
-    cache_rep.add_argument("--pull", action="store_true",
-                           help="reverse direction: fetch the peer's chains "
-                                "and journal into the local store "
-                                "(disaster recovery)")
-    cache_rep.add_argument("--kind", action="append", default=None,
-                           metavar="KIND",
-                           help="artifact kinds to replicate (repeatable; "
-                                "default: checkpoint + inflight)")
     cache_gc = cache_sub.add_parser("gc", help="evict artifacts")
     cache_gc.add_argument("--stale", action="store_true",
                           help="remove entries from other store versions")
@@ -411,8 +374,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     if args.resume and args.checkpoint_every is None:
         raise SystemExit("error: --resume requires --checkpoint-every")
-    if args.from_peer and not args.resume:
-        raise SystemExit("error: --from-peer requires --resume")
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         raise SystemExit("error: --checkpoint-every must be >= 1")
     mode = "streaming" if args.stream else "batch"
@@ -448,14 +409,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         else:
             stream = run_workload_stream(workload, framework, **run_kwargs)
         checkpoint = None
-        replication = None
         if args.checkpoint_every is not None:
             from repro.runtime.checkpoint import (
                 CheckpointManager,
                 CheckpointPolicy,
                 checkpoint_job_key,
             )
-            from repro.runtime.replicate import resolve_replication
             from repro.runtime.store import default_store
 
             job_key = checkpoint_job_key(
@@ -472,21 +431,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                     "profiler": config.profiler_config(),
                 }
             )
-            if args.from_peer:
-                from repro.runtime.replicate import FilesystemPeer, pull_job
-
-                report = pull_job(
-                    FilesystemPeer(args.from_peer), default_store(), job_key
-                )
-                print(f"pulled job {job_key} from {args.from_peer}: "
-                      f"{report.summary()}")
-                if not report.ok:
-                    print("warning: some peer entries failed to pull; "
-                          "resuming from what arrived", file=sys.stderr)
-            replication = resolve_replication()
-            manager = CheckpointManager(
-                default_store(), job_key, replicate=replication
-            )
+            manager = CheckpointManager(default_store(), job_key)
             if not args.resume:
                 manager.clear()  # start fresh, drop stale chains
             checkpoint = CheckpointPolicy(
@@ -500,12 +445,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             print(f"checkpointing: job {job_key}, every "
                   f"{args.checkpoint_every} batches "
                   f"({cleared} snapshot(s) retired on completion)")
-        if replication is not None:
-            status = replication.close()
-            degraded = " (DEGRADED: local-only)" if status.degraded else ""
-            print(f"replication: {status.pushed} pushed, "
-                  f"{status.present} already present, lag {status.lag}"
-                  f"{degraded}")
     else:
         trace = run_workload(workload, framework, **run_kwargs)
         result = simprof.analyze(trace, n_points=args.points)
@@ -832,34 +771,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             f"({len(deep['ok'])} checkpoint(s) deep-verified)"
         )
         return 1 if outcome["corrupt"] and not args.repair else 0
-    if args.cache_command == "replicate":
-        from repro.runtime.replicate import (
-            REPLICATION_KINDS,
-            FilesystemPeer,
-            pull_fleet,
-            replicate_store,
-        )
-
-        peer = FilesystemPeer(args.peer)
-        kinds = tuple(args.kind) if args.kind else REPLICATION_KINDS
-        rounds = 0
-        while True:
-            if args.pull:
-                report = pull_fleet(peer, store, kinds=kinds)
-                direction = f"pulled from {peer.name}"
-            else:
-                report = replicate_store(store, peer, kinds=kinds)
-                direction = f"pushed to {peer.name}"
-            print(f"{direction}: {report.summary()}")
-            for out in report.outcomes:
-                if out.action == "failed":
-                    print(f"  failed: {out.key}: {out.error}", file=sys.stderr)
-            rounds += 1
-            if not args.watch or (
-                args.rounds is not None and rounds >= args.rounds
-            ):
-                return 0 if report.ok else 1
-            time.sleep(args.interval)
     if args.cache_command == "checkpoints":
         from repro.runtime.checkpoint import iter_checkpoint_manifests
         from repro.runtime.snapshot import decode_state
@@ -889,75 +800,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(f"snapshot components: {kinds}")
             return 0
         if args.gc:
-            from repro.runtime.replicate import resolve_peer
-
-            # Bounded-lag safety: when a replica peer is configured, a
-            # chain entry the peer has not acknowledged (digest-verified
-            # copy present) may be the only copy that survives a local
-            # disk loss — keep it unless --force.
-            peer = None if args.force else resolve_peer(args.peer)
-            removed = 0
-            retained = 0
             reclaimed = 0
             for manifest in manifests:
-                if peer is not None and not (
-                    manifest.payload_sha256
-                    and peer.has(manifest.key, manifest.payload_sha256)
-                ):
-                    retained += 1
-                    continue
                 reclaimed += manifest.size_bytes
                 store.delete(manifest.key)
-                removed += 1
-            print(f"removed {removed} checkpoint(s) "
+            print(f"removed {len(manifests)} checkpoint(s) "
                   f"({reclaimed / 1024:.0f}K)")
-            if retained:
-                print(f"retained {retained} checkpoint(s) the peer has not "
-                      "acknowledged (bounded-lag safety; --force to "
-                      "override)")
-            return 0
-        if args.fleet:
-            from repro.runtime.replicate import iter_inflight, resolve_peer
-
-            peer = resolve_peer(args.peer)
-            rows = []
-            for job_key, payload in iter_inflight(store):
-                chain = [
-                    m for m in manifests if m.params.get("job") == job_key
-                ]
-                latest = max(
-                    (int(m.params.get("position", 0)) for m in chain),
-                    default=0,
-                )
-                if peer is not None:
-                    acked = sum(
-                        1 for m in chain
-                        if m.payload_sha256
-                        and peer.has(m.key, m.payload_sha256)
-                    )
-                    ack = f"{acked}/{len(chain)}"
-                else:
-                    ack = "-"
-                rows.append(
-                    (
-                        job_key,
-                        payload.get("label", "?"),
-                        payload.get("checkpoint_every", "?"),
-                        len(chain),
-                        latest,
-                        ack,
-                    )
-                )
-            print(
-                format_table(
-                    ["job", "label", "every", "chain", "latest", "peer-ack"],
-                    rows,
-                    title=(
-                        f"In-flight fleet: {store.root} "
-                        f"({len(rows)} journalled job(s))"
-                    ),
-                )
-            )
             return 0
         now = time.time()
         print(

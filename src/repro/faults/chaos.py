@@ -48,15 +48,10 @@ __all__ = [
     "ChaosAttempt",
     "ChaosOutcome",
     "ChaosPlan",
-    "FleetJobOutcome",
-    "FleetOutcome",
-    "FleetPlan",
-    "fleet_wipe_and_restore",
     "kill_and_restore",
 ]
 
 _KILL_SITE = "chaos.kill"
-_FLEET_SITE = "chaos.fleet"
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,210 +176,4 @@ def kill_and_restore(
         CheckpointPolicy(manager, every=plan.checkpoint_every, resume=True),
     )
     outcome.resumed = session.result()
-    return outcome
-
-
-# -- fleet-wide disaster recovery ---------------------------------------------
-
-
-class _CountingStream:
-    """Pass-through iterator that counts the events it yields.
-
-    Stream metadata (``workload``, ``framework``, …) proxies to the
-    wrapped stream so the profiler sees an indistinguishable source.
-    """
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.count = 0
-
-    def __iter__(self):
-        for event in self.inner:
-            self.count += 1
-            yield event
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
-
-
-@dataclass(frozen=True, slots=True)
-class FleetPlan:
-    """Knobs of one fleet-wide wipe-and-restore campaign.
-
-    ``seed`` steers the per-job kill offsets (site ``"chaos.fleet"``,
-    coordinate = job index) and nothing else.  ``restore_jobs`` is the
-    parallelism of the final :func:`~repro.runtime.replicate.restore_fleet`
-    (``None`` → ``SIMPROF_JOBS``/serial — byte-identical either way).
-    """
-
-    seed: int = 0
-    checkpoint_every: int = 1
-    restore_jobs: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-
-
-@dataclass(frozen=True, slots=True)
-class FleetJobOutcome:
-    """One job's fate across the kill → wipe → restore campaign.
-
-    ``restored_digest`` is ``None`` when the job could not be restored
-    at all — its journal entry or chain never reached the peer (the
-    flaky-transport campaigns record this as explicit degradation, not
-    silent loss).
-    """
-
-    label: str
-    job_key: str
-    n_events: int
-    kill_position: int
-    resumed_from: int
-    reference_digest: str
-    restored_digest: str | None
-
-    @property
-    def byte_identical(self) -> bool:
-        return self.restored_digest == self.reference_digest
-
-
-@dataclass
-class FleetOutcome:
-    """The verdict of one fleet campaign."""
-
-    jobs: list[FleetJobOutcome] = field(default_factory=list)
-    replication: Any = None  # ReplicationStatus at flush time
-    wiped_files: int = 0
-    pulled_entries: int = 0
-
-    @property
-    def missing(self) -> list[str]:
-        """Labels of jobs the peer could not bring back."""
-        return [j.label for j in self.jobs if j.restored_digest is None]
-
-    @property
-    def byte_identical(self) -> bool:
-        """Every job restored and byte-equal to its reference."""
-        return bool(self.jobs) and all(j.byte_identical for j in self.jobs)
-
-    @property
-    def accounted_for(self) -> bool:
-        """No silent loss: every job either restored byte-identically or
-        explicitly recorded as missing while replication reported
-        degradation."""
-        if self.byte_identical:
-            return True
-        return bool(self.missing) and bool(
-            self.replication is not None and self.replication.degraded
-        )
-
-
-def fleet_wipe_and_restore(
-    specs,
-    store: ArtifactStore,
-    peer,
-    plan: FleetPlan,
-    *,
-    retry=None,
-) -> FleetOutcome:
-    """Kill a whole fleet mid-stream, wipe the local store, restore from peer.
-
-    The disaster-recovery drill the replication plane exists for:
-
-    1. **reference** — profile every spec uninterrupted (checkpointing
-       off, no store writes) and count its stream events;
-    2. **kill** — run every spec through the streaming checkpoint path
-       with replication to ``peer`` attached, and kill each worker at a
-       seeded offset (``site_rng(seed, "chaos.fleet", job_index)``);
-       the chains and the inflight journal replicate as they are cut;
-    3. **wipe** — destroy the local store completely
-       (:meth:`~repro.runtime.store.ArtifactStore.wipe`): the preempted
-       host's disk is gone;
-    4. **restore** — pull the journal and chains back from the peer
-       (:func:`~repro.runtime.replicate.pull_fleet`) and finish every
-       job in parallel (:func:`~repro.runtime.replicate.restore_fleet`),
-       byte-comparing each profile against its reference.
-
-    ``peer`` may be a plain :class:`~repro.runtime.replicate.FilesystemPeer`
-    or a :class:`~repro.runtime.replicate.FlakyPeer`; with a flaky
-    transport the campaign must end in either verified replication or
-    explicit recorded degradation (:attr:`FleetOutcome.accounted_for`)
-    — never silent data loss.
-    """
-    from repro.core.pipeline import SimProf
-    from repro.runtime.checkpoint import checkpoint_job_key
-    from repro.runtime.replicate import (
-        ReplicationPolicy,
-        pull_fleet,
-        restore_fleet,
-    )
-    from repro.runtime.runner import _compute_profile_stream, spec_stream
-
-    specs = list(specs)
-    outcome = FleetOutcome()
-
-    # 1. References: uninterrupted, no checkpointing, nothing stored.
-    references: list[tuple[str, int, str]] = []  # (job_key, n_events, digest)
-    for spec in specs:
-        counting = _CountingStream(spec_stream(spec))
-        job = SimProf(spec.simprof).profile_stream(counting)
-        references.append(
-            (
-                checkpoint_job_key(spec.profile_params()),
-                counting.count,
-                job.content_digest(),
-            )
-        )
-
-    # 2. Kill every worker mid-stream, replication on.
-    replication = ReplicationPolicy(peer, retry=retry)
-    kills: list[int] = []
-    try:
-        for i, spec in enumerate(specs):
-            n_events = references[i][1]
-            kill_at = (
-                int(site_rng(plan.seed, _FLEET_SITE, i).integers(1, n_events))
-                if n_events > 1
-                else 1
-            )
-            kills.append(kill_at)
-            try:
-                _compute_profile_stream(
-                    spec,
-                    store,
-                    checkpoint_every=plan.checkpoint_every,
-                    resume=True,
-                    kill_after=kill_at,
-                    replicate=replication,
-                )
-            except WorkerKilled:
-                pass
-        outcome.replication = replication.flush()
-    finally:
-        replication.close()
-
-    # 3. The disk dies.
-    outcome.wiped_files = store.wipe()
-
-    # 4. The successor pulls the journal + chains and finishes the fleet.
-    pulled = pull_fleet(peer, store, retry=retry)
-    outcome.pulled_entries = len(pulled.moved)
-    restored = {
-        r.job_key: r for r in restore_fleet(store, jobs=plan.restore_jobs)
-    }
-    for i, spec in enumerate(specs):
-        job_key, n_events, reference_digest = references[i]
-        result = restored.get(job_key)
-        outcome.jobs.append(
-            FleetJobOutcome(
-                label=spec.label,
-                job_key=job_key,
-                n_events=n_events,
-                kill_position=kills[i],
-                resumed_from=result.resumed_from if result else 0,
-                reference_digest=reference_digest,
-                restored_digest=result.digest if result else None,
-            )
-        )
     return outcome

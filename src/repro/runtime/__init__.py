@@ -60,26 +60,6 @@ _RUNNER_EXPORTS = (
     "RunSpec",
     "RunnerError",
     "resolve_jobs",
-    "spec_stream",
-)
-
-# The replication plane imports the fault-plan RNG (for deterministic
-# backoff jitter), which lives above the runtime layer — re-exported
-# lazily for the same reason as the runner.
-_REPLICATE_EXPORTS = (
-    "FilesystemPeer",
-    "FlakyPeer",
-    "FlakyPlan",
-    "ReplicationPolicy",
-    "ReplicationStatus",
-    "RetryPolicy",
-    "StorePeer",
-    "pull_fleet",
-    "pull_job",
-    "push_key",
-    "replicate_store",
-    "resolve_replication",
-    "restore_fleet",
 )
 
 __all__ = [
@@ -112,7 +92,6 @@ __all__ = [
     "stage_timer",
     "state_digest",
     *_RUNNER_EXPORTS,
-    *_REPLICATE_EXPORTS,
 ]
 
 
@@ -121,8 +100,4 @@ def __getattr__(name: str):
         from repro.runtime import runner
 
         return getattr(runner, name)
-    if name in _REPLICATE_EXPORTS:
-        from repro.runtime import replicate
-
-        return getattr(replicate, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

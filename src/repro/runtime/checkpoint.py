@@ -68,29 +68,18 @@ def checkpoint_job_key(params: dict[str, Any]) -> str:
 
 
 class CheckpointManager:
-    """Save/load the checkpoint chain of one job in an ArtifactStore.
+    """Save/load the checkpoint chain of one job in an ArtifactStore."""
 
-    ``replicate`` (a :class:`~repro.runtime.replicate.ReplicationPolicy`,
-    duck-typed to avoid an import cycle) mirrors every fresh save to a
-    remote peer and retires the chain there when the job completes.
-    Replication is strictly off the correctness path: a missing or
-    unreachable peer changes nothing about what this manager stores or
-    loads locally.
-    """
-
-    def __init__(
-        self, store: ArtifactStore, job_key: str, *, replicate=None
-    ) -> None:
+    def __init__(self, store: ArtifactStore, job_key: str) -> None:
         self.store = store
         self.job_key = job_key
-        self.replicate = replicate
 
     def save(self, position: int, state: dict) -> str:
         """Persist ``state`` at stream ``position``; returns the store key.
 
         Idempotent: re-saving the same (job, position) is a no-op, so a
         resumed run crossing an already-checkpointed position does not
-        churn the store (or re-ship bytes the peer already holds).
+        churn the store.
         """
         blob = encode_state(state)
         params = {
@@ -102,8 +91,6 @@ class CheckpointManager:
         key = self.store.key_for(CHECKPOINT_KIND, params)
         if not self.store.contains(key):
             self.store.put(key, blob, kind=CHECKPOINT_KIND, params=params)
-            if self.replicate is not None:
-                self.replicate.submit(self.store, key)
         return key
 
     def manifests(self) -> list[ArtifactManifest]:
@@ -154,19 +141,11 @@ class CheckpointManager:
         return None
 
     def clear(self) -> int:
-        """Delete this job's checkpoints (job finished); returns count.
-
-        With replication attached the retirement propagates to the
-        peer (best-effort, async) so finished jobs do not accumulate
-        stale chains there.
-        """
-        removed: list[str] = []
-        for manifest in self.manifests():
+        """Delete this job's checkpoints (job finished); returns count."""
+        manifests = self.manifests()
+        for manifest in manifests:
             self.store.delete(manifest.key)
-            removed.append(manifest.key)
-        if self.replicate is not None and removed:
-            self.replicate.retire(removed)
-        return len(removed)
+        return len(manifests)
 
 
 def iter_checkpoint_manifests(store: ArtifactStore) -> Iterator[ArtifactManifest]:

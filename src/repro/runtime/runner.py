@@ -38,11 +38,10 @@ import reprlib
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.core.pipeline import SimProf, SimProfConfig
-from repro.core.units import JobProfile
+from repro.core.pipeline import SimProfConfig
 from repro.runtime.store import ArtifactStore, default_store
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "ExperimentRunner",
     "resolve_jobs",
     "map_tasks",
-    "spec_stream",
 ]
 
 
@@ -233,50 +231,6 @@ class RunSpec:
             "profiler": self.simprof.profiler_config(),
         }
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict form safe to ship to a pool worker."""
-        return {
-            "workload": self.workload,
-            "framework": self.framework,
-            "scale": self.scale,
-            "seed": self.seed,
-            "graph_name": self.graph_name,
-            "input_name": self.input_name,
-            "params": dict(self.params or {}),
-            "simprof": asdict(self.simprof),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "RunSpec":
-        """Rebuild a spec from :meth:`to_payload` output.
-
-        Tolerant by design: unknown top-level keys and unknown
-        ``simprof`` knobs are ignored, and missing optional fields take
-        their defaults — a journal or checkpoint written by a newer
-        schema still round-trips on an older engine instead of crashing
-        a resume.  Unknown knobs cannot silently alias: cache keys are
-        derived from the *reconstructed* spec, so a dropped knob yields
-        the same key an engine without that knob would compute.
-        """
-        raw = payload.get("simprof") or {}
-        if isinstance(raw, SimProfConfig):
-            simprof = raw
-        else:
-            known = {f.name for f in fields(SimProfConfig)}
-            simprof = SimProfConfig(
-                **{k: v for k, v in dict(raw).items() if k in known}
-            )
-        return cls(
-            workload=payload["workload"],
-            framework=payload["framework"],
-            scale=payload.get("scale", 1.0),
-            seed=payload.get("seed", 0),
-            graph_name=payload.get("graph_name"),
-            input_name=payload.get("input_name"),
-            params=payload.get("params") or None,
-            simprof=simprof,
-        )
-
 
 @dataclass
 class GraphResult:
@@ -329,103 +283,6 @@ class GraphResult:
         # entry, so one re-plan misses it and recomputes it.
         self.rerun()
         return self.store.get(key)
-
-
-# -- computation (runs in the parent or in pool workers) ----------------------
-
-
-def spec_stream(spec: RunSpec):
-    """The raw event stream a spec profiles (workload + graph resolved).
-
-    Shared by the streaming compute path and the chaos drills so both
-    consume byte-identical streams for the same spec.
-    """
-    from repro.datagen.seeds import GRAPH_INPUTS
-    from repro.workloads import run_workload_stream
-
-    graph = GRAPH_INPUTS[spec.graph_name] if spec.graph_name else None
-    return run_workload_stream(
-        spec.workload,
-        spec.framework,
-        scale=spec.scale,
-        seed=spec.seed,
-        graph=graph,
-        input_name=spec.input_name or spec.graph_name or "default",
-        params=dict(spec.params) if spec.params else None,
-    )
-
-
-def _compute_profile_stream(
-    spec: RunSpec,
-    store: ArtifactStore,
-    *,
-    checkpoint_every: int,
-    resume: bool = True,
-    kill_after: int | None = None,
-    replicate: Any | None = None,
-) -> JobProfile:
-    """Profile a spec off its live stream, with checkpointing.
-
-    The job is profiled off a live stream under a
-    :class:`~repro.runtime.checkpoint.CheckpointPolicy` keyed on the
-    spec's profile params: a worker killed mid-stream leaves its
-    snapshots in the shared store, and the next worker to pick up the
-    same spec resumes bit-identically from the latest one.  On success
-    the snapshots are cleared — the profile artifact supersedes them.
-
-    Two robustness layers ride along:
-
-    * the job registers itself in the store's **inflight journal**
-      (:mod:`repro.runtime.replicate`) while streaming, so a fleet of
-      killed workers can be rediscovered and restored wholesale by
-      :func:`~repro.runtime.replicate.restore_fleet`;
-    * with replication configured (``replicate=`` or the
-      ``SIMPROF_REPLICA_PEER`` environment), every fresh checkpoint —
-      and the journal entry itself — is mirrored to the peer.  An
-      env-resolved policy is owned here and drained on the way out
-      (success *or* simulated kill: the real-world analogue is the
-      replication agent outliving the worker process); a policy passed
-      in stays caller-owned.
-    """
-    from repro.runtime.checkpoint import (
-        CheckpointManager,
-        CheckpointPolicy,
-        checkpoint_job_key,
-    )
-    from repro.runtime.replicate import (
-        clear_inflight,
-        register_inflight,
-        resolve_replication,
-    )
-
-    owned = replicate is None
-    replicate = resolve_replication() if replicate is None else replicate
-    manager = CheckpointManager(
-        store, checkpoint_job_key(spec.profile_params()), replicate=replicate
-    )
-    policy = CheckpointPolicy(
-        manager, every=checkpoint_every, resume=resume, kill_after=kill_after
-    )
-    register_inflight(
-        store,
-        manager.job_key,
-        {
-            "spec": spec.to_payload(),
-            "checkpoint_every": int(checkpoint_every),
-            "label": spec.label,
-        },
-        replicate=replicate,
-    )
-    try:
-        job = SimProf(spec.simprof).profile_stream(
-            spec_stream(spec), checkpoint=policy
-        )
-    finally:
-        if owned and replicate is not None:
-            replicate.close()
-    manager.clear()
-    clear_inflight(store, manager.job_key, replicate=replicate)
-    return job
 
 
 # -- the runner ---------------------------------------------------------------

@@ -452,62 +452,19 @@ class ArtifactStore:
     def read_payload(self, key: str) -> bytes:
         """Raw on-disk payload bytes for ``key``, or raise ``KeyError``.
 
-        The replication plane ships entries byte-for-byte — no
-        unpickle, no digest check (the caller verifies against the
-        manifest).
+        No unpickle and no digest check: the caller verifies the bytes
+        against the manifest (``cache verify``'s deep checkpoint checks).
         """
         try:
             return self._value_path(key).read_bytes()
         except OSError:
             raise KeyError(key) from None
 
-    def install_payload(
-        self, key: str, payload: bytes, manifest: ArtifactManifest
-    ) -> None:
-        """Adopt already-serialised bytes + manifest verbatim.
-
-        The write path for pulled replicas: the exact payload the
-        origin store produced is placed on disk (never re-pickled, so
-        digests keep matching across stores), and any stale memory-tier
-        object for the key is dropped so the next ``get`` deserialises
-        the installed bytes.
-        """
-        _atomic_write_bytes(self._value_path(key), payload)
-        _atomic_write_bytes(
-            self._manifest_path(key), manifest.to_json().encode()
-        )
-        self._memory.pop(key, None)
-
     def delete(self, key: str) -> None:
         """Remove an entry (value + manifest + memory tier)."""
         self._memory.pop(key, None)
         self._value_path(key).unlink(missing_ok=True)
         self._manifest_path(key).unlink(missing_ok=True)
-
-    def wipe(self) -> int:
-        """Destroy *everything*: entries, quarantine, transfers, memory.
-
-        The disaster-recovery drill's "lost disk" primitive — after a
-        wipe the store is indistinguishable from a brand-new empty
-        root.  Returns the number of files removed.
-        """
-        removed = 0
-        self._memory.clear()
-        for pattern in ("*.pkl", "*.json", ".*.tmp"):
-            for path in list(self.root.glob(pattern)):
-                with _suppress_oserror():
-                    path.unlink()
-                    removed += 1
-        for sub in ("quarantine", "transfer"):
-            subdir = self.root / sub
-            if subdir.is_dir():
-                for path in list(subdir.iterdir()):
-                    with _suppress_oserror():
-                        path.unlink()
-                        removed += 1
-                with _suppress_oserror():
-                    subdir.rmdir()
-        return removed
 
     def quarantine(self, key: str) -> None:
         """Move an entry's files into ``<root>/quarantine/`` for autopsy.

@@ -90,4 +90,7 @@ def build_stages(final_rdd: RDD) -> list[Stage]:
         return stage
 
     make_stage(final_rdd, None)
+    # make_stage's closure holds itself, so it would keep every stage,
+    # RDD and input block alive until a full GC pass; break the cycle.
+    del make_stage
     return ordered

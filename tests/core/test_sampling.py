@@ -107,6 +107,38 @@ class TestOptimalAllocation:
         assert alloc.sum() == min(n, N.sum())
         assert ((N > 0) <= (alloc > 0)).all()  # non-empty => sampled
 
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=100)
+    def test_uncapped_allocation_is_floor_then_neyman(self, sizes, data):
+        """Without binding caps, n_h = 1 + (n − H)·N_h s_h / Σ N s ± 1."""
+        N = np.array(sizes, dtype=np.int64)
+        s = np.array(
+            data.draw(
+                st.lists(
+                    st.one_of(st.just(0.0), st.floats(0.01, 5)),
+                    min_size=len(sizes),
+                    max_size=len(sizes),
+                )
+            )
+        )
+        weights = N * s
+        total = weights.sum()
+        if total <= 0:
+            return  # proportional fallback, a different rule
+        H = len(sizes)
+        # The largest n at which no stratum's Neyman share exceeds the
+        # N_h − 1 units left after its floor point.
+        positive = weights > 0
+        extra_max = int(np.min((N[positive] - 1) * total / weights[positive]))
+        n = H + data.draw(st.integers(0, extra_max))
+        alloc = optimal_allocation(N, s, n)
+        ideal = 1 + (n - H) * weights / total
+        assert alloc.sum() == n
+        assert np.all(np.abs(alloc - ideal) <= 1 + 1e-9)
+
 
 class TestStandardError:
     def test_eq4_hand_computed(self):
@@ -238,6 +270,39 @@ class TestRequiredSampleSize:
             alloc = optimal_allocation(N, s, n - 1)
             se = stratified_standard_error(N, alloc, s)
             assert z_for_confidence(0.997) * se > 0.05 * mean
+
+    @given(
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+        data=st.data(),
+        mean=st.floats(0.5, 5.0),
+        rel=st.floats(0.005, 0.5),
+        confidence=st.sampled_from([0.9, 0.954, 0.997]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_solver_returns_true_minimum(
+        self, sizes, data, mean, rel, confidence
+    ):
+        """Brute force over every n in [H, Σ N_h] on small populations."""
+        N = np.array(sizes, dtype=np.int64)
+        s = np.array(
+            data.draw(
+                st.lists(
+                    st.floats(0, 5, allow_nan=False),
+                    min_size=len(sizes),
+                    max_size=len(sizes),
+                )
+            )
+        )
+        target = rel * mean / z_for_confidence(confidence)
+        brute = next(
+            n
+            for n in range(len(sizes), int(N.sum()) + 1)
+            if stratified_standard_error(N, optimal_allocation(N, s, n), s)
+            <= target
+        )
+        assert required_sample_size(
+            N, s, mean, relative_error=rel, confidence=confidence
+        ) == brute
 
     def test_tighter_error_needs_more_points(self, strata):
         N, s = strata

@@ -109,118 +109,6 @@ class TestCacheCheckpoints:
         assert "job-b" in out and "2 across 1 job(s)" in out
 
 
-class TestCacheReplicate:
-    def _seed_chain(self, job_key="job-rep"):
-        manager = CheckpointManager(default_store(), job_key)
-        manager.save(4, {"position": 4, "session": {"kind": "x"}})
-        manager.save(9, {"position": 9, "session": {"kind": "x"}})
-        return manager
-
-    def test_push_then_pull_roundtrip(self, tmp_path, capsys):
-        self._seed_chain()
-        peer = tmp_path / "peer"
-        assert main(["cache", "replicate", str(peer)]) == 0
-        out = capsys.readouterr().out
-        assert "pushed to" in out and "2 transferred" in out
-        # Second sweep: everything already digest-acknowledged.
-        assert main(["cache", "replicate", str(peer)]) == 0
-        assert "2 already present" in capsys.readouterr().out
-        # The disk dies; pull the chains back.
-        default_store().wipe()
-        assert main(["cache", "replicate", str(peer), "--pull"]) == 0
-        assert "pulled from" in capsys.readouterr().out
-        assert main(["cache", "checkpoints"]) == 0
-        assert "2 across 1 job(s)" in capsys.readouterr().out
-
-    def test_watch_bounded_by_rounds(self, tmp_path, capsys):
-        self._seed_chain()
-        peer = tmp_path / "peer"
-        assert main([
-            "cache", "replicate", str(peer),
-            "--watch", "--interval", "0.01", "--rounds", "2",
-        ]) == 0
-        assert capsys.readouterr().out.count("pushed to") == 2
-
-
-class TestGcPeerAckGuard:
-    """--gc must not collect entries the peer has not acknowledged."""
-
-    def _seed_chain(self, job_key="job-gc"):
-        manager = CheckpointManager(default_store(), job_key)
-        manager.save(4, {"position": 4, "session": {"kind": "x"}})
-        manager.save(9, {"position": 9, "session": {"kind": "x"}})
-        return manager
-
-    def test_unacked_entries_survive_gc(self, tmp_path, capsys):
-        self._seed_chain()
-        peer = tmp_path / "peer"  # configured but empty: nothing acked
-        assert main([
-            "cache", "checkpoints", "--gc", "--peer", str(peer),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "removed 0 checkpoint(s)" in out
-        assert "retained 2 checkpoint(s)" in out
-        assert "bounded-lag safety" in out
-        # Still listed — nothing was lost.
-        assert main(["cache", "checkpoints"]) == 0
-        assert "2 across 1 job(s)" in capsys.readouterr().out
-
-    def test_acked_entries_collect_normally(self, tmp_path, capsys):
-        self._seed_chain()
-        peer = tmp_path / "peer"
-        assert main(["cache", "replicate", str(peer)]) == 0
-        capsys.readouterr()
-        assert main([
-            "cache", "checkpoints", "--gc", "--peer", str(peer),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "removed 2 checkpoint(s)" in out
-        assert "retained" not in out
-
-    def test_env_configured_peer_guards_too(self, tmp_path, capsys, monkeypatch):
-        self._seed_chain()
-        monkeypatch.setenv("SIMPROF_REPLICA_PEER", str(tmp_path / "peer"))
-        assert main(["cache", "checkpoints", "--gc"]) == 0
-        assert "retained 2 checkpoint(s)" in capsys.readouterr().out
-
-    def test_force_overrides_the_guard(self, tmp_path, capsys):
-        self._seed_chain()
-        assert main([
-            "cache", "checkpoints", "--gc",
-            "--peer", str(tmp_path / "peer"), "--force",
-        ]) == 0
-        assert "removed 2 checkpoint(s)" in capsys.readouterr().out
-
-
-class TestFleetListing:
-    def test_fleet_rows_with_peer_ack(self, tmp_path, capsys):
-        from repro.runtime.replicate import register_inflight
-
-        store = default_store()
-        manager = CheckpointManager(store, "job-f")
-        manager.save(4, {"position": 4, "session": {"kind": "x"}})
-        manager.save(9, {"position": 9, "session": {"kind": "x"}})
-        register_inflight(
-            store, "job-f",
-            {"spec": {"workload": "wc"}, "checkpoint_every": 2, "label": "wc_sp"},
-        )
-        assert main(["cache", "checkpoints", "--fleet"]) == 0
-        out = capsys.readouterr().out
-        assert "1 journalled job(s)" in out
-        assert "wc_sp" in out and "job-f" in out
-        peer = tmp_path / "peer"
-        assert main(["cache", "replicate", str(peer)]) == 0
-        capsys.readouterr()
-        assert main([
-            "cache", "checkpoints", "--fleet", "--peer", str(peer),
-        ]) == 0
-        assert "2/2" in capsys.readouterr().out
-
-    def test_empty_journal(self, capsys):
-        assert main(["cache", "checkpoints", "--fleet"]) == 0
-        assert "0 journalled job(s)" in capsys.readouterr().out
-
-
 class TestVerifyDeepCheckpoints:
     def test_digest_consistent_garbage_is_reported_and_repaired(
         self, capsys
@@ -260,15 +148,21 @@ class TestVerifyDeepCheckpoints:
         assert position == 4
 
 
-class TestProfileFromPeer:
-    def test_from_peer_requires_resume(self):
-        with pytest.raises(SystemExit, match="requires --resume"):
-            main([*PROFILE_ARGS, "--checkpoint-every", "2",
-                  "--from-peer", "/tmp/nowhere"])
+class TestProfileResumeAfterKill:
+    @staticmethod
+    def _report(out: str) -> list[str]:
+        """The run's printed result: phase table, points and estimate.
 
-    def test_disaster_recovery_resume_from_peer(self, tmp_path, capsys):
-        """Cut a genuine chain via the CLI's own entry point, replicate,
-        lose the local store, resume with --resume --from-peer."""
+        Drops the checkpointing summary and the wall-clock throughput
+        line, the only lines that differ between the two modes.
+        """
+        return [
+            line for line in out.splitlines()
+            if not line.startswith("checkpointing:") and "units/s" not in line
+        ]
+
+    def test_resume_matches_uninterrupted_run(self, capsys, monkeypatch):
+        """Cut a real chain with a kill, then finish it via the CLI."""
         from repro.core.pipeline import SimProf, SimProfConfig
         from repro.runtime.checkpoint import (
             CheckpointPolicy,
@@ -276,6 +170,9 @@ class TestProfileFromPeer:
             checkpoint_job_key,
         )
         from repro.workloads import run_workload_stream
+
+        assert main(PROFILE_ARGS) == 0
+        reference = self._report(capsys.readouterr().out)
 
         config = SimProfConfig(
             unit_size=10_000_000, snapshot_period=500_000, seed=0
@@ -292,31 +189,26 @@ class TestProfileFromPeer:
                 stream,
                 checkpoint=CheckpointPolicy(manager, every=2, kill_after=15),
             )
-        assert manager.latest() is not None
-        peer = tmp_path / "peer"
-        assert main(["cache", "replicate", str(peer)]) == 0
-        capsys.readouterr()
-        default_store().wipe()
+        killed_at = manager.latest()[0]
 
+        resumed_from = []
+        latest = CheckpointManager.latest
+
+        def spy(self):
+            found = latest(self)
+            resumed_from.append(None if found is None else found[0])
+            return found
+
+        monkeypatch.setattr(CheckpointManager, "latest", spy)
         assert main([
-            *PROFILE_ARGS, "--checkpoint-every", "2",
-            "--resume", "--from-peer", str(peer),
+            *PROFILE_ARGS, "--checkpoint-every", "2", "--resume",
         ]) == 0
         out = capsys.readouterr().out
-        assert f"pulled job {job_key}" in out
-        assert "retired on completion" in out
-
-    def test_env_peer_replicates_during_profile(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        peer = tmp_path / "peer"
-        monkeypatch.setenv("SIMPROF_REPLICA_PEER", str(peer))
-        monkeypatch.setenv("SIMPROF_REPLICA_SYNC", "1")
-        assert main([*PROFILE_ARGS, "--checkpoint-every", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "replication:" in out
-        assert "DEGRADED" not in out
-
-    def test_no_peer_no_replication_output(self, capsys):
-        assert main([*PROFILE_ARGS, "--checkpoint-every", "2"]) == 0
-        assert "replication:" not in capsys.readouterr().out
+        assert resumed_from == [killed_at]
+        assert f"checkpointing: job {job_key}" in out
+        assert self._report(out) == reference
+        # The CLI derived the same job key, so it retired the killed
+        # run's chain along with its own snapshots.
+        assert manager.manifests() == []
+        assert main(["cache", "checkpoints"]) == 0
+        assert "0 across 0 job(s)" in capsys.readouterr().out

@@ -103,34 +103,6 @@ class TestKeys:
         assert k0["profile"] == k1["profile"]
         assert k0["model"] != k1["model"]
 
-    def test_payload_roundtrip(self):
-        spec = _spec(graph_name=None, params={"zipf_s": 1.2}, seed=3)
-        clone = RunSpec.from_payload(spec.to_payload())
-        assert clone == spec
-
-    def test_payload_roundtrip_ignores_unknown_keys(self):
-        """Forward compatibility: a payload written by a newer schema
-        (extra top-level fields, unknown simprof knobs) still loads."""
-        spec = _spec(seed=7)
-        payload = spec.to_payload()
-        payload["future_field"] = {"nested": True}
-        payload["simprof"] = {
-            **dict(payload["simprof"]),
-            "future_knob": 99,
-        }
-        clone = RunSpec.from_payload(payload)
-        assert clone == spec
-        # The reconstructed spec derives the same cache keys as an
-        # engine that never had the unknown knob — no silent aliasing.
-        assert clone.profile_params() == spec.profile_params()
-
-    def test_payload_missing_optionals_take_defaults(self):
-        clone = RunSpec.from_payload({"workload": "wc", "framework": "spark"})
-        assert clone.scale == 1.0
-        assert clone.seed == 0
-        assert clone.graph_name is None
-        assert clone.params is None
-
     def test_dedupe_key_distinguishes_want_kinds(self, tmp_path):
         """A profile-only run must not satisfy a model request."""
         store = ArtifactStore(tmp_path)
@@ -468,87 +440,3 @@ class TestMapTasks:
     def test_runner_method_uses_configured_jobs(self, tmp_path):
         runner = ExperimentRunner(ArtifactStore(tmp_path), jobs=1)
         assert runner.map_tasks(_double, [5]) == [10]
-
-
-def _batch_digest(root, spec: RunSpec) -> str:
-    graph, [nodes] = _graph([spec], want="profile")
-    result = ExperimentRunner(ArtifactStore(root), jobs=1).run_graph(graph)
-    return result[nodes["profile"]].content_digest()
-
-
-class TestStreamingCheckpoint:
-    """``_compute_profile_stream``: resumable profiles off a live stream."""
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="interval"):
-            runner_module._compute_profile_stream(
-                _spec(), ArtifactStore(tmp_path), checkpoint_every=0
-            )
-
-    def test_streaming_compute_matches_batch(self, tmp_path):
-        spec = _spec()
-        streaming = runner_module._compute_profile_stream(
-            spec, ArtifactStore(tmp_path / "stream"), checkpoint_every=2
-        )
-        assert streaming.content_digest() == _batch_digest(
-            tmp_path / "batch", spec
-        )
-
-    def test_killed_worker_resumes_bit_identically(self, tmp_path):
-        from repro.runtime.checkpoint import (
-            CheckpointManager,
-            WorkerKilled,
-            checkpoint_job_key,
-        )
-
-        spec = _spec()
-        want = _batch_digest(tmp_path / "ref", spec)
-
-        store = ArtifactStore(tmp_path / "store")
-        with pytest.raises(WorkerKilled):
-            runner_module._compute_profile_stream(
-                spec, store, checkpoint_every=1, kill_after=14
-            )
-        manager = CheckpointManager(
-            store, checkpoint_job_key(spec.profile_params())
-        )
-        assert manager.latest() is not None
-
-        # The "replacement worker" over the same store resumes from the
-        # dead worker's snapshots and retires them.
-        job = runner_module._compute_profile_stream(
-            spec, store, checkpoint_every=1
-        )
-        assert job.content_digest() == want
-        assert manager.latest() is None
-
-    def test_journal_tracks_inflight_jobs(self, tmp_path):
-        from repro.runtime.checkpoint import WorkerKilled, checkpoint_job_key
-        from repro.runtime.replicate import iter_inflight
-
-        spec = _spec()
-        store = ArtifactStore(tmp_path / "store")
-        with pytest.raises(WorkerKilled):
-            runner_module._compute_profile_stream(
-                spec, store, checkpoint_every=2, kill_after=6
-            )
-        [(job_key, payload)] = iter_inflight(store)
-        assert job_key == checkpoint_job_key(spec.profile_params())
-        assert RunSpec.from_payload(payload["spec"]) == spec
-        # Completion retires the journal entry.
-        runner_module._compute_profile_stream(spec, store, checkpoint_every=2)
-        assert list(iter_inflight(store)) == []
-
-    def test_mark_inflight_roundtrip(self, tmp_path):
-        from repro.runtime.replicate import (
-            clear_inflight,
-            iter_inflight,
-            register_inflight,
-        )
-
-        store = ArtifactStore(tmp_path)
-        info = {"spec": _spec().to_payload(), "label": "grep_sp"}
-        register_inflight(store, "k1", info)
-        assert list(iter_inflight(ArtifactStore(tmp_path))) == [("k1", info)]
-        clear_inflight(store, "k1")
-        assert list(iter_inflight(ArtifactStore(tmp_path))) == []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.spark.context import SparkConfig, SparkContext
@@ -123,3 +125,36 @@ class TestBuildStages:
         stages = build_stages(rdd)
         assert stages[0].name.startswith("shuffleMap:")
         assert stages[-1].name.startswith("result:")
+
+
+class TestNoCyclicGarbage:
+    """A finished Spark run is freed by reference counting alone.
+
+    Automatic collection is paused for the run, so any cycle it leaves
+    is still there when the explicit ``gc.collect()`` saves it into
+    ``gc.garbage``.  Stdlib objects (``ast``/``inspect`` closures) are
+    not the substrate's concern and are filtered out.
+    """
+
+    @pytest.mark.parametrize("workload", ["wc", "cc"])
+    def test_run_leaves_no_spark_objects_in_cycles(self, workload):
+        from repro.workloads import run_workload
+
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_workload(workload, "spark", scale=0.01, seed=0)
+            gc.collect()
+            leaked = sorted(
+                {
+                    f"{type(obj).__module__}.{type(obj).__qualname__}"
+                    for obj in gc.garbage
+                    if str(type(obj).__module__).startswith("repro.")
+                }
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
