@@ -33,7 +33,11 @@ from repro.faults.report import FaultReport
 from repro.hadoop.api import Context, Reducer
 from repro.hadoop.job import HadoopJobConf
 from repro.hadoop.stacks import HadoopFrames
-from repro.hdfs.filesystem import SimulatedHDFS, estimate_record_bytes
+from repro.hdfs.filesystem import (
+    SimulatedHDFS,
+    estimate_block_bytes,
+    estimate_record_bytes,
+)
 from repro.jvm.job import JobTrace, StageInfo
 from repro.jvm.machine import AccessPattern, HardwareModel, MachineConfig, OpKind
 from repro.jvm.methods import CallStack, MethodRegistry, StackTable
@@ -164,7 +168,7 @@ class _TaskRun:
         if self.slot not in cluster._streamed_slots:
             cluster._streamed_slots.add(self.slot)
             emit(ThreadStart(self.slot, self.slot, trace.start_cycle))
-        if trace.segments:
+        if len(trace):
             seq = cluster._stream_seq.get(self.slot, 0)
             cluster._stream_seq[self.slot] = seq + 1
             # Columnar flush: pack the task's segments once and clear.
@@ -612,7 +616,7 @@ class HadoopCluster:
             # IFile append runs as each partition finishes, so the spill
             # write interleaves with the sorting/combining of the next
             # partition (these sub-operations are "tightly coupled").
-            raw = sum(estimate_record_bytes(r) for r in sorted_recs)
+            raw = estimate_block_bytes(sorted_recs)
             comp = raw * conf.compression_ratio if conf.compress_map_output else raw
             run.emit(
                 self.frames.spill_write(base),

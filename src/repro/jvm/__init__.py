@@ -24,6 +24,8 @@ reproduce that bridge with a simulated JVM:
   keeps batches zero-copy across a process boundary.
 """
 
+import importlib
+
 from repro.jvm.methods import CallStack, MethodRef, MethodRegistry, StackTable
 from repro.jvm.machine import (
     AccessPattern,
@@ -46,7 +48,10 @@ from repro.jvm.stream import (
     pump_events,
     trace_to_stream,
 )
-from repro.jvm.shm import recv_stream, send_stream
+
+# The shared-memory transport loads on first use: most callers never
+# cross a process boundary with a stream.
+_LAZY = {"recv_stream": "repro.jvm.shm", "send_stream": "repro.jvm.shm"}
 
 __all__ = [
     "AccessPattern",
@@ -79,3 +84,12 @@ __all__ = [
     "send_stream",
     "trace_to_stream",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.jvm' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -57,7 +57,8 @@ class JobTrace:
         whole stream (driving the underlying run if it is live) and
         assemble the classic in-memory trace.  Thread order follows
         ``ThreadStart`` order, which each substrate emits to match its
-        batch ``job_trace()``.
+        batch ``job_trace()``.  Each batch's packed rows are appended to
+        its thread's row buffer; no segment objects are built.
 
         Events pass through the :class:`~repro.faults.stream.EventGuard`
         first, so duplicated/reordered/corrupt segment batches are
@@ -88,7 +89,7 @@ class JobTrace:
                         f"segment batch for unknown thread {event.thread_id} "
                         "(no ThreadStart seen)"
                     )
-                trace.segments.extend(event.segments)
+                trace.extend(event.data)
             elif isinstance(event, ThreadStart):
                 trace = ThreadTrace(
                     thread_id=event.thread_id,

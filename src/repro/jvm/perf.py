@@ -14,7 +14,6 @@ than rounded to segments.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -73,30 +72,20 @@ def apply_counter_glitches(
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate!r}")
-    if rate == 0.0 or not trace.segments:
+    n = len(trace)
+    if rate == 0.0 or not n:
         return trace, 0
-    n = len(trace.segments)
-    hits = rng.random(n) < rate
+    hits = np.nonzero(rng.random(n) < rate)[0]
     factors = 1.0 + scale * (2.0 * rng.random(n) - 1.0)
-    segments = list(trace.segments)
-    glitched = 0
-    for i in np.nonzero(hits)[0]:
-        s = segments[i]
-        f = max(0.0, float(factors[i]))
-        segments[i] = dataclasses.replace(
-            s,
-            cycles=max(0, int(round(s.cycles * f))),
-            l1d_misses=max(0, int(round(s.l1d_misses * f))),
-            llc_misses=max(0, int(round(s.llc_misses * f))),
-        )
-        glitched += 1
-    out = ThreadTrace(
-        thread_id=trace.thread_id,
-        core_id=trace.core_id,
-        segments=segments,
-        start_cycle=trace.start_cycle,
+    f = np.maximum(factors[hits], 0.0)
+    data = trace.to_structured().copy()
+    for name in ("cycles", "l1d_misses", "llc_misses"):
+        # np.rint rounds half to even, as round() does.
+        data[name][hits] = np.maximum(0, np.rint(data[name][hits] * f))
+    out = ThreadTrace.from_structured(
+        trace.thread_id, trace.core_id, data, start_cycle=trace.start_cycle
     )
-    return out, glitched
+    return out, len(hits)
 
 
 class PerfCounterReader:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.hdfs.filesystem import estimate_record_bytes
+from repro.hdfs.filesystem import estimate_block_bytes
 
 __all__ = ["BlockStore"]
 
@@ -38,7 +38,7 @@ class BlockStore:
 
     def put(self, rdd_id: int, split: int, records: list[Any]) -> int:
         """Cache one partition; returns its estimated byte size."""
-        nbytes = sum(estimate_record_bytes(r) for r in records)
+        nbytes = estimate_block_bytes(records)
         key = (rdd_id, split)
         if key in self._blocks:
             self.bytes_cached -= self._blocks[key][1]

@@ -215,7 +215,7 @@ class SparkContext:
             return
         for ex in self.executors:
             trace = ex.builder.trace
-            if trace.segments:
+            if len(trace):
                 seq = self._stream_seq.get(trace.thread_id, 0)
                 self._stream_seq[trace.thread_id] = seq + 1
                 # Pack-and-clear in one step: the batch goes out as a

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.hdfs.filesystem import estimate_record_bytes
+from repro.hdfs.filesystem import estimate_block_bytes
 
 __all__ = [
     "stable_hash",
@@ -155,7 +155,7 @@ class ShuffleManager:
         self, shuffle_id: int, map_task: int, reduce_part: int, records: list[Any]
     ) -> int:
         """Store one map-output bucket; returns its estimated bytes."""
-        nbytes = sum(estimate_record_bytes(r) for r in records)
+        nbytes = estimate_block_bytes(records)
         self._blocks[(shuffle_id, map_task, reduce_part)] = (records, nbytes)
         self.bytes_written += nbytes
         return nbytes

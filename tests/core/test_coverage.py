@@ -16,8 +16,8 @@ from repro.jvm.threads import ThreadTrace, TraceSegment
 def two_stage_trace() -> ThreadTrace:
     """Stage 0 for 300 instructions, stage 1 for 100."""
     trace = ThreadTrace(thread_id=0, core_id=0)
-    trace.segments.append(TraceSegment(0, OpKind.MAP, 300, 300, 0, 0, stage_id=0))
-    trace.segments.append(TraceSegment(1, OpKind.REDUCE, 100, 300, 0, 0, stage_id=1))
+    trace.append(TraceSegment(0, OpKind.MAP, 300, 300, 0, 0, stage_id=0))
+    trace.append(TraceSegment(1, OpKind.REDUCE, 100, 300, 0, 0, stage_id=1))
     return trace
 
 
@@ -45,8 +45,8 @@ class TestUnitStageMatrix:
 
     def test_straddling_unit_split(self):
         trace = ThreadTrace(thread_id=0, core_id=0)
-        trace.segments.append(TraceSegment(0, OpKind.MAP, 150, 150, 0, 0, stage_id=0))
-        trace.segments.append(TraceSegment(1, OpKind.MAP, 50, 50, 0, 0, stage_id=1))
+        trace.append(TraceSegment(0, OpKind.MAP, 150, 150, 0, 0, stage_id=0))
+        trace.append(TraceSegment(1, OpKind.MAP, 50, 50, 0, 0, stage_id=1))
         _ids, matrix = unit_stage_matrix(trace, unit_size=100)
         np.testing.assert_allclose(matrix[1], [50, 50])
 
@@ -69,9 +69,9 @@ class TestStageCoverage:
 
     def test_min_fraction_filters_stray_segments(self):
         trace = ThreadTrace(thread_id=0, core_id=0)
-        trace.segments.append(TraceSegment(0, OpKind.MAP, 99, 99, 0, 0, stage_id=0))
-        trace.segments.append(TraceSegment(1, OpKind.MAP, 1, 1, 0, 0, stage_id=1))
-        trace.segments.append(TraceSegment(1, OpKind.MAP, 100, 100, 0, 0, stage_id=1))
+        trace.append(TraceSegment(0, OpKind.MAP, 99, 99, 0, 0, stage_id=0))
+        trace.append(TraceSegment(1, OpKind.MAP, 1, 1, 0, 0, stage_id=1))
+        trace.append(TraceSegment(1, OpKind.MAP, 100, 100, 0, 0, stage_id=1))
         job = as_job(trace)
         cov = stage_coverage(job, 0, np.array([0]), unit_size=100,
                              min_fraction=0.05)
@@ -80,8 +80,7 @@ class TestStageCoverage:
 
     def test_out_of_task_work_excluded(self):
         trace = two_stage_trace()
-        trace.segments.append(TraceSegment(2, OpKind.GC, 100, 100, 0, 0,
-                                           stage_id=-1))
+        trace.append(TraceSegment(2, OpKind.GC, 100, 100, 0, 0, stage_id=-1))
         job = as_job(trace)
         cov = stage_coverage(job, 0, np.arange(5), unit_size=100)
         assert -1 not in list(cov.stage_ids)

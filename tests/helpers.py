@@ -69,7 +69,7 @@ def make_trace(
     trace = ThreadTrace(thread_id=thread_id, core_id=0)
     for stack, insts, cpi in segments:
         insts_i = int(insts)
-        trace.segments.append(
+        trace.append(
             TraceSegment(
                 stack_id=table.intern(stack),
                 op_kind=op_kind,

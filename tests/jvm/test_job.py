@@ -15,9 +15,10 @@ def _job_with_threads(instr_per_thread: list[int]) -> JobTrace:
     table = StackTable(registry)
     traces = []
     for tid, insts in enumerate(instr_per_thread):
-        trace = ThreadTrace(thread_id=tid, core_id=tid)
-        trace.segments.append(
-            TraceSegment(0, OpKind.MAP, insts, insts * 2, 0, 0)
+        trace = ThreadTrace(
+            thread_id=tid,
+            core_id=tid,
+            segments=[TraceSegment(0, OpKind.MAP, insts, insts * 2, 0, 0)],
         )
         traces.append(trace)
     return JobTrace(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,7 +99,66 @@ class TestMissRates:
             assert 0.0 <= llc <= l1 <= 1.0
 
 
+def _reference_cost(model, op_kind, access, instructions, rng, contention,
+                    cold, retired):
+    """The pricing formula evaluated term by term, with nothing memoised."""
+    cfg = model.config
+    insts = max(1, int(round(instructions)))
+    l1_rate, llc_rate = model.miss_rates(access, contention=contention, cold=cold)
+    l1_misses = insts * l1_rate
+    llc_misses = insts * llc_rate
+    cycles = (
+        insts * model.base_cpi(op_kind)
+        + l1_misses * cfg.l1_miss_penalty
+        + llc_misses * model._memory_penalty(access)
+    )
+    cycles *= model.jit_multiplier(retired)
+    if cfg.noise_sigma > 0.0:
+        cycles *= math.exp(rng.normal(0.0, cfg.noise_sigma))
+    return (
+        insts,
+        max(1, int(round(cycles))),
+        int(round(l1_misses)),
+        int(round(llc_misses)),
+    )
+
+
 class TestCost:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(list(OpKind)),
+                st.sampled_from(["sequential", "random", "pointer"]),
+                st.sampled_from([0.0, 4e3, 3e4, 1e6, 2e7, 3e8]),
+                st.integers(1, 8),
+                st.booleans(),
+                st.floats(0.0, 1e8),
+                st.floats(0.0, 1e10),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from([0.0, 0.5]),
+        st.sampled_from([0.0, 0.03]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_memoised_terms_match_the_formula(self, requests, jit, sigma):
+        # Few distinct working sets, so later requests hit the memo.
+        model = HardwareModel(
+            MachineConfig(noise_sigma=sigma, jit_warmup_penalty=jit)
+        )
+        rng_a = np.random.default_rng(5)
+        rng_b = np.random.default_rng(5)
+        for op_kind, kind, ws, contention, cold, insts, retired in requests:
+            access = AccessPattern(kind, ws)
+            got = model.cost(
+                op_kind, access, insts, rng_a, contention=contention,
+                cold=cold, retired_instructions=retired,
+            )
+            assert tuple(got) == _reference_cost(
+                model, op_kind, access, insts, rng_b, contention, cold, retired
+            )
+
     def test_cpi_grows_with_working_set(self, model, rng):
         seq = model.cost(OpKind.MAP, AccessPattern.sequential(1e4), 1e6, rng)
         rand = model.cost(OpKind.REDUCE, AccessPattern.random(100e6), 1e6, rng)

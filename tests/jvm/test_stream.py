@@ -213,10 +213,10 @@ class TestTraceCaching:
         registry, table, stacks = make_registry_with_stacks(n_stacks=1)
         sid = table.intern(stacks[0])
         trace = ThreadTrace(thread_id=0, core_id=0)
-        trace.segments.append(TraceSegment(sid, OpKind.MAP, 100, 60, 1, 0))
+        trace.append(TraceSegment(sid, OpKind.MAP, 100, 60, 1, 0))
         assert trace.total_instructions == 100
-        trace.segments.append(TraceSegment(sid, OpKind.MAP, 50, 40, 1, 0))
-        # Append changes the length, so the cache is recomputed.
+        trace.append(TraceSegment(sid, OpKind.MAP, 50, 40, 1, 0))
+        # The totals are running sums over the appended rows.
         assert trace.total_instructions == 150
         assert trace.total_cycles == 100
 
@@ -224,15 +224,17 @@ class TestTraceCaching:
         registry, table, stacks = make_registry_with_stacks(n_stacks=1)
         sid = table.intern(stacks[0])
         trace = ThreadTrace(thread_id=0, core_id=0)
-        trace.segments.append(TraceSegment(sid, OpKind.MAP, 100, 60, 1, 0))
+        trace.append(TraceSegment(sid, OpKind.MAP, 100, 60, 1, 0))
         assert trace.total_instructions == 100
+        assert trace.segments[0].instructions == 100
         trace.clear_segments()
         assert len(trace) == 0
-        # Refill to the same length with different values: the epoch
-        # bump must invalidate the cached totals.
-        trace.segments.append(TraceSegment(sid, OpKind.MAP, 999, 777, 1, 0))
+        # Refill to the same length with different values: clearing
+        # must restart the totals and drop the cached object view.
+        trace.append(TraceSegment(sid, OpKind.MAP, 999, 777, 1, 0))
         assert trace.total_instructions == 999
         assert trace.total_cycles == 777
+        assert trace.segments[0].instructions == 999
 
     def test_thread_lookup_cached_and_first_wins(self):
         job = _small_job(n_threads=3)

@@ -23,7 +23,7 @@ def _roundtrip(obj):
 
 
 def _assert_same_trace(loaded: ThreadTrace, fresh: ThreadTrace) -> None:
-    assert loaded._segments is None  # nothing built on load
+    assert loaded._view is None  # nothing built on load
     assert loaded.to_structured().dtype == SEGMENT_DTYPE
     assert loaded.to_structured().tobytes() == fresh.to_structured().tobytes()
     assert (loaded.thread_id, loaded.core_id, loaded.start_cycle) == (
@@ -69,9 +69,7 @@ class TestFig7RoundTrip:
 
 
 def _trace(rows: list[TraceSegment], *, start_cycle: int = 5) -> ThreadTrace:
-    trace = ThreadTrace(thread_id=3, core_id=1, start_cycle=start_cycle)
-    trace.segments.extend(rows)
-    return trace
+    return ThreadTrace(thread_id=3, core_id=1, segments=rows, start_cycle=start_cycle)
 
 
 class TestEdgeCases:
@@ -113,8 +111,8 @@ class TestEdgeCases:
         fresh = _trace([TraceSegment(0, OpKind.MAP, 10, 20, 1, 0)])
         loaded = _roundtrip(fresh)
         extra = TraceSegment(1, OpKind.IO, 5, 6, 0, 0)
-        loaded.segments.append(extra)
-        fresh.segments.append(extra)
+        loaded.append(extra)
+        fresh.append(extra)
         _assert_same_trace(_roundtrip(loaded), fresh)
         assert loaded.total_instructions == 15
         loaded.clear_segments()
