@@ -20,8 +20,8 @@ statement-level CFG good enough for that:
 
 The graph is intentionally approximate (handlers share one dispatch
 node, ``finally`` exits fan out to every continuation that flowed in)
-— precise enough to prove "this shared-memory block is closed on every
-path" and to flag the paths where it is not.
+— precise enough to prove "this temp file is removed or renamed on
+every path" and to flag the paths where it is not.
 """
 
 from __future__ import annotations

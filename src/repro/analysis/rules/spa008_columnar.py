@@ -10,8 +10,8 @@ regression only a profiler would catch.  This rule catches it
 statically instead.
 
 Flagged, inside the trace-plane modules only (``repro.jvm.segments``,
-``repro.jvm.stream``, ``repro.jvm.shm``, ``repro.core.profiler``,
-``repro.core.features``, ``repro.faults.stream``; ``_reference``
+``repro.jvm.stream``, ``repro.core.profiler``, ``repro.core.features``,
+``repro.faults.stream``; ``_reference``
 modules are the sanctioned object-path museum and stay exempt):
 
 * iteration (``for`` statements and comprehensions) whose iterable is
@@ -46,7 +46,6 @@ _SCOPE_MODULES = frozenset(
     {
         "repro.jvm.segments",
         "repro.jvm.stream",
-        "repro.jvm.shm",
         "repro.core.profiler",
         "repro.core.features",
         "repro.faults.stream",

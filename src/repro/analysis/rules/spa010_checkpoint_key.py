@@ -16,7 +16,7 @@ sets derived by expanding local assignments back to terminal names
   ``spec.profile_params()``-style key method resolved through the
   project index);
 * **influencing** — roots passed to stream-producer calls
-  (``run_workload_stream``, ``stream_in_worker``, …) in the same
+  (``run_workload_stream``, ``profile_stream``, …) in the same
   function.
 
 Influencing roots with no covered counterpart are flagged.  Runtime
@@ -41,9 +41,7 @@ from repro.analysis.project import (
 )
 
 # Calls that produce (or transform into) the profiled event stream.
-_PRODUCERS = frozenset(
-    {"run_workload", "run_workload_stream", "stream_in_worker", "profile_stream"}
-)
+_PRODUCERS = frozenset({"run_workload", "run_workload_stream", "profile_stream"})
 
 # Keyword arguments on producer calls that are runtime plumbing, not
 # job identity (checkpoint cadence may differ between resumed runs).

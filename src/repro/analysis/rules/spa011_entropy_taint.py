@@ -5,9 +5,9 @@ seeds.  Wall-clock and ambient-entropy values (``time.time()``,
 ``os.urandom``, an *unseeded* ``default_rng()``/``SeedSequence()``)
 are fine as local diagnostics, but once they flow into a process/cache
 boundary — a queue ``put`` to a worker, ``ArtifactStore.put``/
-``get_or_compute``/``key_for``, ``checkpoint_job_key``, shared-memory
-``send_stream`` — they make cache keys, checkpoints or cross-process
-payloads nondeterministic, which is invisible until a replay diverges.
+``get_or_compute``/``key_for``, ``checkpoint_job_key`` — they make
+cache keys, checkpoints or cross-process payloads nondeterministic,
+which is invisible until a replay diverges.
 
 The rule taints locals assigned from entropy sources inside each
 function, then flags sink calls whose arguments carry taint.  It is
@@ -63,7 +63,7 @@ _SINK_ATTRS = frozenset({"put", "put_nowait", "get_or_compute", "key_for", "save
 
 # Free functions that do the same.
 _SINK_FUNCS = frozenset(
-    {"stable_hash", "checkpoint_job_key", "encode_state", "send_stream"}
+    {"stable_hash", "checkpoint_job_key", "encode_state"}
 )
 
 # Keyword arguments that are declared wall-clock *metadata* at the sink.

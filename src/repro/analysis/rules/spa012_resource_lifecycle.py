@@ -1,13 +1,13 @@
 """SPA012: shared-resource lifecycle.
 
-Shared-memory blocks, replay buffers and ``delete=False`` temp files
-outlive the Python objects that wrap them: a path that leaves the
-function without closing/unlinking the handle leaks a kernel object or
-an on-disk file.  The leak almost always hides on *exception* paths —
-the happy path closes the block, but an error between acquisition and
-release unwinds past the cleanup (PR 7's chaos harness finds these
-dynamically by killing workers; this rule proves their absence
-statically).
+``delete=False`` temp files (the store's write-then-rename), replay
+buffers and shared-memory blocks outlive the Python objects that wrap
+them: a path that leaves the function without closing/unlinking the
+handle leaks an on-disk file, a pinned payload or a kernel object.
+The leak almost always hides on *exception* paths — the happy path
+renames the file, but an error between acquisition and release
+unwinds past the cleanup (the chaos harness finds these dynamically
+by killing workers; this rule proves their absence statically).
 
 Per function, each ``name = <acquisition>()`` assignment is checked
 against the function's CFG (:mod:`repro.analysis.cfg`, with exception
@@ -145,9 +145,9 @@ class SharedResourceLifecycle(ProjectRule):
     id = "SPA012"
     name = "shared-resource-lifecycle"
     rationale = (
-        "A shared-memory block or delete=False temp file that escapes "
-        "cleanup on any path — especially exception unwinds — leaks a "
-        "kernel object or on-disk file past the process."
+        "A delete=False temp file or shared-memory block that escapes "
+        "cleanup on any path — especially exception unwinds — leaks an "
+        "on-disk file or kernel object past the process."
     )
     hint = (
         "release the resource on every path (try/finally or an except "

@@ -21,9 +21,10 @@ works identically.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = ["main", "build_parser"]
 
@@ -54,6 +55,35 @@ def _parse_label(label: str) -> tuple[str, str]:
     )
 
 
+def _positive(cast: type) -> Callable[[str], int | float]:
+    """An argparse ``type``: ``cast(text)``, finite and above zero.
+
+    Every count and size the runs take (``--scale``, ``--points``,
+    ``--draws``, ``--unit-size``, ...) must be positive; checking it
+    here turns a bad value into a usage error instead of a traceback
+    deep in a run, a retried stage, a table of ``nan`` or a silent
+    clamp.
+    """
+    bound = ">= 1" if cast is int else "> 0"
+
+    def parse(text: str) -> int | float:
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {cast.__name__} value: {text!r}"
+            ) from None
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+
+    return parse
+
+
+_COUNT = _positive(int)
+_AMOUNT = _positive(float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -67,16 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a benchmark and select points")
     run.add_argument("label", help="benchmark label, e.g. wc_sp or cc_hp")
-    run.add_argument("--points", type=int, default=20,
+    run.add_argument("--points", type=_COUNT, default=20,
                      help="simulation points to select (default 20)")
-    run.add_argument("--scale", type=float, default=1.0,
+    run.add_argument("--scale", type=_AMOUNT, default=1.0,
                      help="input-volume multiplier (default 1.0)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--graph", default=None,
                      help="Table II input name for graph workloads")
-    run.add_argument("--unit-size", type=int, default=100_000_000)
-    run.add_argument("--snapshot-period", type=int, default=2_000_000)
-    run.add_argument("--error", type=float, default=None,
+    run.add_argument("--unit-size", type=_COUNT, default=100_000_000)
+    run.add_argument("--snapshot-period", type=_COUNT, default=2_000_000)
+    run.add_argument("--error", type=_AMOUNT, default=None,
                      help="also solve the sample size for this relative "
                      "CPI error bound (e.g. 0.05)")
     run.add_argument("--export-dir", default=None,
@@ -92,26 +122,20 @@ def build_parser() -> argparse.ArgumentParser:
                       help="consume the trace as a live stream: the trace "
                       "is never materialised and units are cut while the "
                       "workload runs (bit-identical result)")
-    prof.add_argument("--points", type=int, default=20,
+    prof.add_argument("--points", type=_COUNT, default=20,
                       help="simulation points to select (default 20)")
-    prof.add_argument("--scale", type=float, default=1.0,
+    prof.add_argument("--scale", type=_AMOUNT, default=1.0,
                       help="input-volume multiplier (default 1.0)")
     prof.add_argument("--seed", type=int, default=0)
     prof.add_argument("--graph", default=None,
                       help="Table II input name for graph workloads")
-    prof.add_argument("--unit-size", type=int, default=100_000_000)
-    prof.add_argument("--snapshot-period", type=int, default=2_000_000)
+    prof.add_argument("--unit-size", type=_COUNT, default=100_000_000)
+    prof.add_argument("--snapshot-period", type=_COUNT, default=2_000_000)
     prof.add_argument("--faults", default=None, metavar="PLAN",
                       help="JSON fault plan (repro.faults.FaultPlan): "
                       "inject deterministic cluster faults — and stream "
                       "faults with --stream — then report the recoveries")
-    prof.add_argument("--worker", action="store_true",
-                      help="with --stream: produce the trace in a worker "
-                      "process, shipped zero-copy over shared memory "
-                      "(falls back to a pickling queue transport on "
-                      "platforms without shared_memory, and for "
-                      "fault-injected streams)")
-    prof.add_argument("--checkpoint-every", type=int, default=None,
+    prof.add_argument("--checkpoint-every", type=_COUNT, default=None,
                       metavar="N",
                       help="with --stream: persist a resumable snapshot "
                       "of the profiling session to the artifact store "
@@ -125,11 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure", help="regenerate a paper table/figure")
     fig.add_argument("name", choices=sorted(FIGURES),
                      help="which experiment to run")
-    fig.add_argument("--scale", type=float, default=1.0)
+    fig.add_argument("--scale", type=_AMOUNT, default=1.0)
     fig.add_argument("--seed", type=int, default=0)
-    fig.add_argument("--unit-size", type=int, default=100_000_000)
-    fig.add_argument("--snapshot-period", type=int, default=2_000_000)
-    fig.add_argument("--draws", type=int, default=20,
+    fig.add_argument("--unit-size", type=_COUNT, default=100_000_000)
+    fig.add_argument("--snapshot-period", type=_COUNT, default=2_000_000)
+    fig.add_argument("--draws", type=_COUNT, default=20,
                      help="sampling draws averaged for SRS/SimProf")
     fig.add_argument("--jobs", type=int, default=None,
                      help="parallel workload runs (default: $SIMPROF_JOBS "
@@ -139,11 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="run every experiment and write a markdown report"
     )
     report.add_argument("--output", "-o", default="simprof_report.md")
-    report.add_argument("--scale", type=float, default=1.0)
+    report.add_argument("--scale", type=_AMOUNT, default=1.0)
     report.add_argument("--seed", type=int, default=0)
-    report.add_argument("--unit-size", type=int, default=100_000_000)
-    report.add_argument("--snapshot-period", type=int, default=2_000_000)
-    report.add_argument("--draws", type=int, default=20)
+    report.add_argument("--unit-size", type=_COUNT, default=100_000_000)
+    report.add_argument("--snapshot-period", type=_COUNT, default=2_000_000)
+    report.add_argument("--draws", type=_COUNT, default=20)
     report.add_argument("--no-extensions", action="store_true")
     report.add_argument("--jobs", type=int, default=None,
                         help="parallel workload runs (default: $SIMPROF_JOBS "
@@ -155,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     sens.add_argument("label", help="cc_sp, cc_hp, rank_sp or rank_hp")
     sens.add_argument("--references", nargs="*", default=None,
                       help="reference input names (default: all seven)")
-    sens.add_argument("--scale", type=float, default=1.0)
-    sens.add_argument("--points", type=int, default=20)
+    sens.add_argument("--scale", type=_AMOUNT, default=1.0)
+    sens.add_argument("--points", type=_COUNT, default=20)
 
     cache = sub.add_parser("cache", help="inspect or clean the artifact store")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
@@ -366,16 +390,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             faults = FaultPlan.load(args.faults)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"error: cannot load fault plan: {exc}") from exc
-    if not args.stream and (
-        args.worker or args.checkpoint_every is not None or args.resume
-    ):
-        raise SystemExit(
-            "error: --worker/--checkpoint-every/--resume require --stream"
-        )
+    if not args.stream and (args.checkpoint_every is not None or args.resume):
+        raise SystemExit("error: --checkpoint-every/--resume require --stream")
     if args.resume and args.checkpoint_every is None:
         raise SystemExit("error: --resume requires --checkpoint-every")
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        raise SystemExit("error: --checkpoint-every must be >= 1")
     mode = "streaming" if args.stream else "batch"
     print(f"Profiling {args.label} ({mode}, scale {args.scale}, "
           f"seed {args.seed}) ...")
@@ -393,21 +411,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         faults=faults,
     )
     if args.stream:
-        if args.worker:
-            from repro.workloads import stream_in_worker
-
-            stream = stream_in_worker(
-                workload,
-                framework,
-                scale=args.scale,
-                seed=args.seed,
-                graph_name=args.graph,
-                input_name=args.graph or "default",
-                faults=faults,
-            )
-            print(f"worker transport: {stream.transport}")
-        else:
-            stream = run_workload_stream(workload, framework, **run_kwargs)
+        stream = run_workload_stream(workload, framework, **run_kwargs)
         checkpoint = None
         if args.checkpoint_every is not None:
             from repro.runtime.checkpoint import (

@@ -189,14 +189,18 @@ def stratified_standard_error(
 ) -> float:
     """Eq. 4: SE of the stratified mean (with finite-population term).
 
-    Strata with a single sample contribute zero (their s_h is
-    undefined; the conventional conservative choice would inflate SE,
-    but the paper takes s_h from the profiled CPIs where available, so
-    callers normally pass population stds).
+    Each sampled stratum adds N_h²(1 − n_h/N_h)s_h²/n_h; strata with no
+    sample add nothing.  A stratum with one sample is no exception: it
+    adds N_h²(1 − 1/N_h)s_h², zero only when it is fully sampled
+    (N_h = 1).  One sample cannot estimate s_h, so the formula needs it
+    from outside: the paper takes s_h from the profiled CPIs, and
+    callers pass population stds.
     """
     N_h = np.asarray(stratum_sizes, dtype=np.float64)
     n_h = np.asarray(sample_sizes, dtype=np.float64)
     s_h = np.asarray(sample_stds, dtype=np.float64)
+    if not len(N_h) == len(n_h) == len(s_h):
+        raise ValueError("sizes, sample sizes and stds disagree on stratum count")
     N = N_h.sum()
     if N <= 0:
         raise ValueError("empty population")

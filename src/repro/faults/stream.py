@@ -69,11 +69,11 @@ class ReplayBuffer:
     Entries are zero-copy columnar refs — the packed ``SEGMENT_DTYPE``
     array and its checksum, never a :class:`SegmentBatch` object copy —
     so buffering a batch costs two machine words, shares the producer's
-    (possibly shared-memory) buffer, and never materialises the lazy
-    per-segment object cache.  :meth:`fetch` rebuilds a fresh batch
-    around the ref on demand.  Consumers that track commit progress
-    call :meth:`release` to drop refs they can no longer request,
-    mirroring the shm channel's one-event reclamation lag.
+    buffer, and never materialises the lazy per-segment object cache.
+    :meth:`fetch` rebuilds a fresh batch around the ref on demand.
+    Consumers that track commit progress call :meth:`release` to drop
+    refs they can no longer request, so a long stream's buffer holds
+    only the payloads still open to repair.
     """
 
     def __init__(self, window: int = 512) -> None:
@@ -102,8 +102,8 @@ class ReplayBuffer:
 
         Called by the consumer once a sequence point is committed and
         past its reclamation lag — those payloads can never be
-        re-requested, so holding the refs would only pin (possibly
-        shared-memory) buffers.
+        re-requested, so holding the refs would only keep batch
+        buffers alive after the consumer has let them go.
         """
         per_thread = self._batches.get(thread_id)
         released = 0
@@ -362,9 +362,9 @@ class EventGuard:
 
         Everything below ``expected - 1`` is committed and past its
         one-event reclamation lag (the most recent commit stays
-        fetchable, mirroring the shm channel's ``keep_last=1``); the
-        replay buffer may drop those columnar refs so shared buffers
-        unpin as the stream advances.
+        fetchable); the replay buffer may drop those columnar refs so
+        batch buffers are freed as the stream advances instead of
+        accumulating up to the window.
         """
         if self._replay is None:
             return

@@ -17,14 +17,12 @@ reproduce that bridge with a simulated JVM:
   SimProf's thread profiler consumes; they see only what the real
   interfaces would expose (stacks at sampled instants, counters per
   window), never the underlying segments.
-* :mod:`repro.jvm.segments` / :mod:`repro.jvm.stream` /
-  :mod:`repro.jvm.shm` — the columnar trace plane: the packed
-  ``SEGMENT_DTYPE`` wire format, the incremental event stream that
-  moves batches by reference, and the shared-memory transport that
-  keeps batches zero-copy across a process boundary.
+* :mod:`repro.jvm.segments` / :mod:`repro.jvm.stream` — the columnar
+  trace plane: the packed ``SEGMENT_DTYPE`` batch format and the
+  in-process event stream that moves batches by reference from the
+  running workload to its consumer, as SimProf's agent reads stacks
+  and counters from inside the profiled JVM.
 """
-
-import importlib
 
 from repro.jvm.methods import CallStack, MethodRef, MethodRegistry, StackTable
 from repro.jvm.machine import (
@@ -48,10 +46,6 @@ from repro.jvm.stream import (
     pump_events,
     trace_to_stream,
 )
-
-# The shared-memory transport loads on first use: most callers never
-# cross a process boundary with a stream.
-_LAZY = {"recv_stream": "repro.jvm.shm", "send_stream": "repro.jvm.shm"}
 
 __all__ = [
     "AccessPattern",
@@ -79,17 +73,6 @@ __all__ = [
     "TraceSegment",
     "TraceStream",
     "pump_events",
-    "recv_stream",
     "segment_checksum",
-    "send_stream",
     "trace_to_stream",
 ]
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro.jvm' has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value

@@ -1,13 +1,13 @@
 """The packed columnar segment format of the trace plane.
 
 Everything that moves trace segments between layers — substrate flush,
-the stream pump, the shared-memory channel, the fault guard, the
-streaming profiler — moves them as one packed NumPy structured array
-per batch instead of per-segment Python objects.  :data:`SEGMENT_DTYPE`
-is the wire format: the eight little-endian ``<i8`` identity/counter
-fields the batch checksum covers (the same eight the historical
-``struct`` pack used), plus a ninth ``cold`` column so a columnar round
-trip loses nothing a :class:`~repro.jvm.threads.TraceSegment` carries.
+the stream pump, the fault guard, the streaming profiler — moves them
+as one packed NumPy structured array per batch instead of per-segment
+Python objects.  :data:`SEGMENT_DTYPE` is the wire format: the eight
+little-endian ``<i8`` identity/counter fields the batch checksum covers
+(the same eight the historical ``struct`` pack used), plus a ninth
+``cold`` column so a columnar round trip loses nothing a
+:class:`~repro.jvm.threads.TraceSegment` carries.
 
 Consumers operate on column slices (``arr["instructions"]``,
 ``arr["stack_id"]``) and never materialise per-segment objects on the

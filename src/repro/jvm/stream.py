@@ -13,11 +13,10 @@ Segment payloads are **columnar from birth to consumption**: a
 :data:`~repro.jvm.segments.SEGMENT_DTYPE` structured array (``.data``),
 not per-segment Python objects.  Substrates pack each flush into one
 array, :func:`pump_events` moves the batch by reference through its
-queue (one pointer per batch, however many segments it holds; see
-:mod:`repro.jvm.shm` for the shared-memory variant when the consumer is
-a worker process), the fault guard checksums the packed buffer in one
-CRC pass, and the streaming profiler cuts sampling units from column
-slices — no per-segment object is ever allocated on the hot path.  The
+queue (one pointer per batch, however many segments it holds), the
+fault guard checksums the packed buffer in one CRC pass, and the
+streaming profiler cuts sampling units from column slices — no
+per-segment object is ever allocated on the hot path.  The
 ``.segments`` property materialises classic
 :class:`~repro.jvm.threads.TraceSegment` tuples lazily for the
 object-path consumers (``JobTrace.from_stream``, parity tests).
@@ -103,9 +102,8 @@ class SegmentBatch:
     lazily (and caches them) for object-path consumers only.
 
     The constructor accepts either a packed array (adopted by
-    reference — the zero-copy path substrates and the shared-memory
-    channel use) or an iterable of :class:`TraceSegment` objects (the
-    legacy path, converted once).
+    reference — the zero-copy path substrates use) or an iterable of
+    :class:`TraceSegment` objects (the legacy path, converted once).
 
     ``seq`` is a per-thread sequence number (0, 1, 2, ... in emission
     order) and ``checksum`` the :func:`segment_checksum` of the packed

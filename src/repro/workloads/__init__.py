@@ -9,11 +9,6 @@ from repro.workloads.registry import (
     run_workload,
     run_workload_stream,
 )
-from repro.workloads.worker import (
-    resolve_transport,
-    shm_available,
-    stream_in_worker,
-)
 
 __all__ = [
     "WORKLOADS",
@@ -22,9 +17,6 @@ __all__ = [
     "all_labels",
     "get_workload",
     "label_of",
-    "resolve_transport",
     "run_workload",
     "run_workload_stream",
-    "shm_available",
-    "stream_in_worker",
 ]

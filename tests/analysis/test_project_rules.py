@@ -413,7 +413,7 @@ class TestSPA011EntropyTaint:
 
 class TestSPA012ResourceLifecycle:
     def test_exception_between_acquire_and_handoff_leaks(self):
-        # The pre-fix send_stream shape: the block is written and a ref
+        # A shared-memory hand-off: the block is written and a ref
         # built before queue.put, but an error in between unwinds past
         # both the close and the hand-off.
         findings = check(

@@ -3,9 +3,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.sampling import (
     optimal_allocation,
@@ -158,6 +160,49 @@ class TestStandardError:
     def test_empty_population_raises(self):
         with pytest.raises(ValueError):
             stratified_standard_error(np.zeros(2), np.zeros(2), np.ones(2))
+
+    def test_mismatched_lengths_raise(self):
+        with pytest.raises(ValueError, match="stratum count"):
+            stratified_standard_error([10, 20], [2, 3], [1.0])
+        with pytest.raises(ValueError, match="stratum count"):
+            stratified_standard_error([10, 20], [2], [1.0, 2.0])
+
+    @given(
+        strata=st.lists(
+            st.integers(0, 20).flatmap(
+                lambda size: st.tuples(
+                    st.just(size),
+                    st.integers(0, size),
+                    st.floats(0, 5, allow_nan=False),
+                )
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    # One sample of ten units: s_h comes from outside, so it still adds
+    # N_h²(1 - 1/N_h)s_h² (= 360 here), not zero.
+    @example(strata=[(10, 1, 2.0)])
+    @example(strata=[(1, 1, 3.0), (4, 4, 1.5), (6, 2, 0.5)])
+    @example(strata=[(5, 0, 2.0), (3, 1, 1.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_stratum_loop(self, strata):
+        """Eq. 4 against a plain loop over the strata, written here.
+
+        Covers one-unit strata, fully sampled strata (no variance left)
+        and unsampled strata (no term).
+        """
+        sizes, samples, stds = (list(column) for column in zip(*strata))
+        population = sum(sizes)
+        assume(population > 0)
+        variance = 0.0
+        for size, n, std in strata:
+            if n == 0:
+                continue
+            variance += size * size * (1 - n / size) * std * std / n
+        expected = math.sqrt(variance) / population
+        got = stratified_standard_error(sizes, samples, stds)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_matches_monte_carlo(self):
         """The analytic SE matches the empirical spread of the

@@ -39,7 +39,6 @@ class TestProfileFlagValidation:
         [
             ["--checkpoint-every", "2"],
             ["--resume"],
-            ["--worker"],
         ],
     )
     def test_stream_only_flags_rejected_in_batch_mode(self, extra):
@@ -50,9 +49,11 @@ class TestProfileFlagValidation:
         with pytest.raises(SystemExit, match="requires --checkpoint-every"):
             main([*PROFILE_ARGS, "--resume"])
 
-    def test_interval_must_be_positive(self):
-        with pytest.raises(SystemExit, match=">= 1"):
+    def test_interval_must_be_positive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main([*PROFILE_ARGS, "--checkpoint-every", "0"])
+        assert exc.value.code == 2
+        assert "--checkpoint-every: must be >= 1" in capsys.readouterr().err
 
 
 class TestProfileCheckpointing:

@@ -40,6 +40,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    @pytest.mark.parametrize("argv,message", [
+        (["figure", "fig7", "--draws", "0"], "--draws: must be >= 1"),
+        (["figure", "fig7", "--scale", "0"], "--scale: must be > 0"),
+        (["profile", "wc_sp", "--scale", "0"], "--scale: must be > 0"),
+        (["profile", "wc_sp", "--unit-size", "0"], "--unit-size: must be >= 1"),
+        (["profile", "wc_sp", "--snapshot-period", "0"],
+         "--snapshot-period: must be >= 1"),
+        (["profile", "wc_sp", "--points", "-5"], "--points: must be >= 1"),
+        (["run", "wc_sp", "--error", "-0.05"], "--error: must be > 0"),
+        (["run", "wc_sp", "--scale", "nan"], "--scale: must be > 0"),
+        (["report", "--draws", "0"], "--draws: must be >= 1"),
+        (["report", "--scale", "inf"], "--scale: must be > 0"),
+        (["sensitivity", "cc_sp", "--points", "0"], "--points: must be >= 1"),
+        (["figure", "fig7", "--draws", "two"], "--draws: invalid int value: 'two'"),
+    ])
+    def test_rejects_non_positive_numbers(self, argv, message, capsys):
+        """Bad counts and sizes are usage errors, caught before any run."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument " + message in err
+
     def test_figures_registry_importable(self):
         import importlib
 
