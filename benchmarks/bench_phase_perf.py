@@ -17,8 +17,7 @@ optimised fast path and once through the
 Every scale asserts the fast path's output is *bit-identical* to the
 reference: same feature-matrix bytes, same chosen k, same assignment
 and centre bytes (silhouette scores are ``allclose`` — their summation
-order changed).  The smallest scale additionally checks the parallel
-sweep (``jobs=2``) is byte-identical to the serial one.
+order changed).
 
 Writes ``BENCH_phase.json`` with wall-clock seconds and peak traced
 memory (tracemalloc, KiB) per stage plus the process peak RSS.  Run as
@@ -153,7 +152,7 @@ def timed(fn):
     return out, elapsed, peak / 1024.0
 
 
-def run_scale(n: int, *, check_parallel: bool = False) -> dict:
+def run_scale(n: int) -> dict:
     """Benchmark one unit count; returns the JSON row (parity asserted)."""
     job = make_job(n)
 
@@ -171,7 +170,7 @@ def run_scale(n: int, *, check_parallel: bool = False) -> dict:
     X_sel = np.ascontiguousarray(Xf[:, ids])
 
     fast, t_fast_sweep, m_fast_sweep = timed(
-        lambda: select_phases(X_sel, k_max=K_MAX, seed=SEED, jobs=1)
+        lambda: select_phases(X_sel, k_max=K_MAX, seed=SEED)
     )
     ref, t_ref_sweep, m_ref_sweep = timed(
         lambda: reference_choose_k(X_sel, k_max=K_MAX, seed=SEED)
@@ -198,23 +197,6 @@ def run_scale(n: int, *, check_parallel: bool = False) -> dict:
         )
     assert assignments_bitwise, f"assignments diverge at n={n}"
     assert centers_bitwise, f"centres diverge at n={n}"
-
-    parallel_bitwise = None
-    if check_parallel:
-        par = select_phases(X_sel, k_max=K_MAX, seed=SEED, jobs=2)
-        k_par, scores_par, result_par = par
-        parallel_bitwise = (
-            k_par == k_fast
-            and list(scores_par.items()) == list(scores_fast.items())
-            and (
-                result_par is None
-                if result_fast is None
-                else result_par is not None
-                and np.array_equal(result_par.assignments, result_fast.assignments)
-                and np.array_equal(result_par.centers, result_fast.centers)
-            )
-        )
-        assert parallel_bitwise, f"parallel sweep diverges at n={n}"
 
     fast_total = t_fast_feat + t_select + t_fast_sweep
     ref_total = t_ref_feat + t_select + t_ref_sweep
@@ -249,7 +231,6 @@ def run_scale(n: int, *, check_parallel: bool = False) -> dict:
             "assignments_bitwise": assignments_bitwise,
             "centers_bitwise": centers_bitwise,
             "scores_allclose": True,
-            "parallel_sweep_bitwise": parallel_bitwise,
         },
     }
 
@@ -334,8 +315,8 @@ def main(argv: list[str] | None = None) -> int:
 
     ns = QUICK_NS if args.quick else FULL_NS
     rows = []
-    for i, n in enumerate(ns):
-        row = run_scale(n, check_parallel=i == 0)
+    for n in ns:
+        row = run_scale(n)
         rows.append(row)
         print(
             f"n={n:>6}: fast {row['fast_total_s']:>8.3f}s | "

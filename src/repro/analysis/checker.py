@@ -232,10 +232,9 @@ def run_check(
     project); ``baseline`` partitions surviving findings into new vs
     grandfathered.  ``store`` (an :class:`ArtifactStore`) enables the
     content-addressed cache — ``None`` keeps the run pure.  ``jobs``
-    fans both passes out over :func:`map_tasks` (``None`` = serial
-    unless ``SIMPROF_JOBS`` says otherwise).  ``rules`` (explicit
-    instances) is the legacy single-pass escape hatch used by tests:
-    it runs in-process, uncached, per-module only.
+    fans both passes out over :func:`map_tasks` (``None`` = serial).
+    ``rules`` (explicit instances) is the legacy single-pass escape
+    hatch used by tests: it runs in-process, uncached, per-module only.
     """
     result = CheckResult()
     files = collect_files(paths)
@@ -430,7 +429,7 @@ def _map(fn, items: list, jobs: int | None) -> list:
         return [fn(item) for item in items]
     from repro.runtime.runner import map_tasks
 
-    return map_tasks(fn, items, jobs=jobs, retries=0)
+    return map_tasks(fn, items, jobs=jobs)
 
 
 def _run_legacy(

@@ -61,7 +61,7 @@ def _positive(cast: type) -> Callable[[str], int | float]:
     Every count and size the runs take (``--scale``, ``--points``,
     ``--draws``, ``--unit-size``, ...) must be positive; checking it
     here turns a bad value into a usage error instead of a traceback
-    deep in a run, a retried stage, a table of ``nan`` or a silent
+    deep in a run, a failed stage, a table of ``nan`` or a silent
     clamp.
     """
     bound = ">= 1" if cast is int else "> 0"
@@ -82,6 +82,14 @@ def _positive(cast: type) -> Callable[[str], int | float]:
 
 _COUNT = _positive(int)
 _AMOUNT = _positive(float)
+
+
+def _jobs(text: str) -> int:
+    """An argparse ``type`` for ``check --jobs``: ``auto`` (the CPU
+    count) or a positive int."""
+    if text.lower() == "auto":
+        return os.cpu_count() or 1
+    return _COUNT(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,9 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--snapshot-period", type=_COUNT, default=2_000_000)
     fig.add_argument("--draws", type=_COUNT, default=20,
                      help="sampling draws averaged for SRS/SimProf")
-    fig.add_argument("--jobs", type=int, default=None,
-                     help="parallel workload runs (default: $SIMPROF_JOBS "
-                     "or serial)")
+    fig.add_argument("--jobs", type=_COUNT, default=None,
+                     help="worker processes for the stage graph (default: "
+                     "$SIMPROF_JOBS or serial)")
 
     report = sub.add_parser(
         "report", help="run every experiment and write a markdown report"
@@ -169,9 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--snapshot-period", type=_COUNT, default=2_000_000)
     report.add_argument("--draws", type=_COUNT, default=20)
     report.add_argument("--no-extensions", action="store_true")
-    report.add_argument("--jobs", type=int, default=None,
-                        help="parallel workload runs (default: $SIMPROF_JOBS "
-                        "or serial)")
+    report.add_argument("--jobs", type=_COUNT, default=None,
+                        help="worker processes for the stage graph (default: "
+                        "$SIMPROF_JOBS or serial)")
 
     sens = sub.add_parser(
         "sensitivity", help="input-sensitivity analysis for a graph workload"
@@ -263,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated rule ids (default: all)")
     check.add_argument("--list-rules", action="store_true",
                        help="print the rule catalogue and exit")
-    check.add_argument("--jobs", default=None, metavar="N",
+    check.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                        help="fan analysis out over N processes "
                        "('auto' = CPU count)")
     check.add_argument("--changed", action="store_true",
@@ -947,17 +955,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     rule_ids = None
     if args.rules:
         rule_ids = [r.strip().upper() for r in args.rules.split(",") if r.strip()]
-    jobs = None
-    if args.jobs is not None:
-        if str(args.jobs).lower() == "auto":
-            jobs = os.cpu_count() or 1
-        else:
-            try:
-                jobs = max(1, int(args.jobs))
-            except ValueError:
-                print(f"error: --jobs must be an integer or 'auto', got "
-                      f"{args.jobs!r}", file=sys.stderr)
-                return 2
     store = None
     if not args.no_cache:
         from repro.runtime.store import default_store
@@ -977,7 +974,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             list(args.paths),
             rule_ids=rule_ids,
             baseline=baseline,
-            jobs=jobs,
+            jobs=args.jobs,
             store=store,
             changed_only=args.changed,
         )

@@ -21,8 +21,8 @@ uniform without-replacement subsample of ``max_points`` scored points,
 while each scored point's per-cluster mean distances remain exact over
 *all* points.  Under a fixed seed the estimator is bit-stable: the
 subsample indices, the distance matrix, and every derived score are
-byte-identical across runs, and the serial and parallel k-sweeps
-produce byte-identical ``(k, scores)`` results.
+byte-identical across runs, so every k-sweep of one matrix produces
+byte-identical ``(k, scores)`` results.
 """
 
 from __future__ import annotations
@@ -402,10 +402,10 @@ class SilhouetteDistances:
         Fully vectorised: the per-cluster mean distances fall out of one
         GEMM against the one-hot membership matrix, so a score costs
         O(m·n·k) BLAS flops instead of k strided column gathers.  A pure
-        function of ``(self, assignments)`` — repeated evaluations (and
-        hence the serial and parallel sweeps) are byte-identical; only
-        the summation *order* differs from a per-point loop, so loop
-        reformulations agree to ``allclose`` rather than bitwise.
+        function of ``(self, assignments)`` — repeated evaluations are
+        byte-identical; only the summation *order* differs from a
+        per-point loop, so loop reformulations agree to ``allclose``
+        rather than bitwise.
         """
         assignments = np.asarray(assignments)
         if len(assignments) != self.n:
@@ -507,71 +507,25 @@ def _evaluate_k(
     return distances.score(result.assignments), result
 
 
-# Per-process context for parallel sweep workers: (X, distances).  Set
-# by the pool initializer; each worker builds the (deterministic)
-# distance structure once and reuses it for every k it evaluates.
-_SWEEP_STATE: tuple[np.ndarray, SilhouetteDistances] | None = None
-
-
-def _sweep_init(X: np.ndarray, max_points: int, seed: int) -> None:
-    global _SWEEP_STATE
-    X = np.asarray(X, dtype=np.float64)
-    _SWEEP_STATE = (
-        X,
-        SilhouetteDistances.build(X, max_points=max_points, seed=seed),
-    )
-
-
-def _sweep_task(args: tuple[int, int]) -> tuple[int, float, KMeansResult]:
-    k, seed = args
-    assert _SWEEP_STATE is not None, "sweep worker used before initialisation"
-    X, distances = _SWEEP_STATE
-    score, result = _evaluate_k(X, k, seed=seed, distances=distances)
-    return k, score, result
-
-
 def sweep_k(
     X: np.ndarray,
     *,
     k_max: int = 20,
     seed: int = 0,
     max_points: int = 3000,
-    jobs: int | None = None,
 ) -> tuple[dict[int, float], dict[int, KMeansResult]]:
     """Silhouette-score every k in [2, min(k_max, n-1)].
 
-    Returns ``(scores_by_k, results_by_k)``.  The pairwise-distance
-    structure is built once and shared across all evaluations.  With
-    ``jobs > 1`` (default: the ``SIMPROF_JOBS`` environment variable,
-    via the :mod:`repro.runtime.runner` machinery) the candidate ks are
-    evaluated concurrently in worker processes; every worker
-    deterministically rebuilds the identical distance structure, so the
-    parallel sweep is byte-identical to the serial one.
+    Returns ``(scores_by_k, results_by_k)``, both in ascending k.  The
+    pairwise-distance structure is built once and shared across all
+    evaluations.  The sweep runs in the calling process: parallelism
+    lives one level up, where the runner fans whole stage nodes out.
     """
-    from repro.runtime.runner import map_tasks, resolve_jobs
-
     n = len(X)
     ks = list(range(2, min(k_max, n - 1) + 1))
     scores: dict[int, float] = {}
     results: dict[int, KMeansResult] = {}
     if not ks:
-        return scores, results
-    jobs = resolve_jobs(jobs)
-    if jobs > 1 and len(ks) > 1:
-        out = map_tasks(
-            _sweep_task,
-            [(k, seed) for k in ks],
-            jobs=jobs,
-            initializer=_sweep_init,
-            initargs=(X, max_points, seed),
-        )
-        for k, score, result in out:
-            scores[k] = score
-            results[k] = result
-        # map_tasks preserves input order, but make the ascending-k
-        # iteration order of the dicts an explicit invariant.
-        scores = {k: scores[k] for k in ks}
-        results = {k: results[k] for k in ks}
         return scores, results
     distances = SilhouetteDistances.build(X, max_points=max_points, seed=seed)
     for k in ks:
@@ -589,7 +543,6 @@ def select_phases(
     min_structure: float = 0.40,
     seed: int = 0,
     max_points: int = 3000,
-    jobs: int | None = None,
 ) -> tuple[int, dict[int, float], KMeansResult | None]:
     """Pick the phase count *and* return the chosen k's fitted clustering.
 
@@ -602,9 +555,7 @@ def select_phases(
     n = len(X)
     if n < 3 or np.allclose(X, X[0]):
         return 1, {1: 0.0}, None
-    scores, results = sweep_k(
-        X, k_max=k_max, seed=seed, max_points=max_points, jobs=jobs
-    )
+    scores, results = sweep_k(X, k_max=k_max, seed=seed, max_points=max_points)
     if not scores:
         return 1, {1: 0.0}, None
     k = pick_k(
@@ -623,7 +574,6 @@ def choose_k(
     min_structure: float = 0.40,
     seed: int = 0,
     max_points: int = 3000,
-    jobs: int | None = None,
 ) -> tuple[int, dict[int, float]]:
     """Pick the number of phases (paper rule).
 
@@ -644,6 +594,5 @@ def choose_k(
         min_structure=min_structure,
         seed=seed,
         max_points=max_points,
-        jobs=jobs,
     )
     return k, scores

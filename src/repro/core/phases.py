@@ -79,19 +79,16 @@ class PhaseModel:
         score_threshold: float = 0.9,
         seed: int = 0,
         projection_dims: int | None = None,
-        jobs: int | None = None,
         features: "tuple[FeatureSpace, np.ndarray] | None" = None,
     ) -> "PhaseModel":
         """Phase formation: vectorise, select features, cluster.
 
         ``projection_dims`` enables the SimPoint-style random projection
-        before clustering (an ablation variant; None = off).  ``jobs``
-        parallelises the silhouette k-sweep (``None`` = the
-        ``SIMPROF_JOBS`` default); ``features`` supplies a precomputed
-        ``FeatureSpace.fit(job, top_k)`` pair (the provenance graph's
-        featurize stage, which books the ``feature-selection`` time)
-        instead of fitting one here.  Neither affects the fitted model:
-        the result is bit-identical whatever the worker count.
+        before clustering (an ablation variant; None = off).
+        ``features`` supplies a precomputed ``FeatureSpace.fit(job,
+        top_k)`` pair (the provenance graph's featurize stage, which
+        books the ``feature-selection`` time) instead of fitting one
+        here; the fitted model is the same either way.
         """
         if features is None:
             with stage_timer("feature-selection") as rec:
@@ -123,7 +120,6 @@ class PhaseModel:
                 k_max=max_phases,
                 score_threshold=score_threshold,
                 seed=seed,
-                jobs=jobs,
             )
             if k == 1 or result is None:
                 centers = X_cluster.mean(axis=0, keepdims=True)

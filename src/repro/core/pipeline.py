@@ -138,22 +138,14 @@ class SimProf:
             )
         return job
 
-    def form_phases(
-        self, job: JobProfile, *, jobs: int | None = None
-    ) -> PhaseModel:
-        """Stage 2: phase formation.
-
-        ``jobs`` parallelises the silhouette k-sweep (``None`` defers to
-        ``SIMPROF_JOBS``); the fitted model is bit-identical whatever
-        the worker count.
-        """
+    def form_phases(self, job: JobProfile) -> PhaseModel:
+        """Stage 2: phase formation."""
         return PhaseModel.fit(
             job,
             top_k=self.config.top_k_methods,
             max_phases=self.config.max_phases,
             score_threshold=self.config.silhouette_threshold,
             seed=self.config.seed,
-            jobs=jobs,
         )
 
     def select_points(

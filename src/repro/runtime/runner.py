@@ -13,10 +13,9 @@ Guarantees:
 * **incremental** — a node whose full provenance key is already in the
   store is never recomputed, and structurally equal chains collapse to
   one node;
-* **bounded retries with backoff** — a failing task is retried up to
-  ``retries`` times (sleeping ``backoff * 2**attempt`` seconds, with
-  deterministic jitter, between attempts) before surfacing as
-  :class:`RunnerError`; a broken pool (OOM-killed worker, fork failure)
+* **one attempt** — stages are pure functions of (inputs, params,
+  code), so a failing stage surfaces at once as :class:`RunnerError`
+  naming its node; a broken pool (OOM-killed worker, fork failure)
   degrades to in-process execution;
 * **self-healing** — a planned-cached entry that fails to load (the
   store quarantines it) is re-planned and recomputed once;
@@ -35,8 +34,7 @@ from __future__ import annotations
 
 import os
 import reprlib
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
@@ -55,9 +53,16 @@ __all__ = [
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
-    """Worker count: explicit argument, else ``SIMPROF_JOBS``, else 1."""
+    """Worker count: explicit argument, else ``SIMPROF_JOBS``, else 1.
+
+    An explicit count must be positive; an unset or malformed
+    ``SIMPROF_JOBS`` means serial.
+    """
     if jobs is not None:
-        return max(1, int(jobs))
+        jobs = int(jobs)
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        return jobs
     env = os.environ.get("SIMPROF_JOBS", "")
     try:
         return max(1, int(env))
@@ -66,26 +71,17 @@ def resolve_jobs(jobs: int | None = None) -> int:
 
 
 class RunnerError(RuntimeError):
-    """A spec kept failing after the configured retries."""
+    """A task (a stage node, a lint pass) raised."""
 
 
-def _backoff_sleep(backoff: float, seed: int, attempt: int, *coords: int) -> None:
-    """Exponential backoff with *deterministic* jitter.
-
-    The jitter factor is drawn from ``site_rng(seed, "runner.backoff",
-    *coords, attempt)`` — never from ambient randomness — so fault
-    replays wait bit-identical intervals.  The sleep is
-    ``backoff * 2**attempt * (1 + 0.5·u)`` with ``u ~ U[0, 1)``: the
-    floor equals the historical un-jittered schedule, the jitter only
-    ever stretches it, desynchronising retry herds without speeding
-    anything up behind a test's back.
-    """
-    if backoff <= 0:
-        return
-    from repro.faults.plan import site_rng
-
-    u = float(site_rng(seed, "runner.backoff", *coords, attempt).uniform())
-    time.sleep(backoff * (2.0**attempt) * (1.0 + 0.5 * u))
+def _run_once(
+    fn: Callable[[Any], Any], item: Any, label: Callable[[Any], str]
+) -> Any:
+    """``fn(item)``, with any exception rewrapped as :class:`RunnerError`."""
+    try:
+        return fn(item)
+    except Exception as exc:  # noqa: BLE001 - rewrapped with the task's name
+        raise RunnerError(f"task {label(item)} failed: {exc}") from exc
 
 
 def map_tasks(
@@ -93,98 +89,51 @@ def map_tasks(
     items: Iterable[Any],
     *,
     jobs: int | None = None,
-    retries: int = 2,
-    backoff: float = 0.0,
-    seed: int = 0,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple[Any, ...] = (),
     label: Callable[[Any], str] = reprlib.repr,
 ) -> list[Any]:
-    """Order-preserving parallel map with the runner's failure semantics.
+    """Order-preserving parallel map: the program's one process pool.
 
-    The executor under :meth:`ExperimentRunner.run_graph`, also used
-    directly by pure compute tasks (the phase k-sweep, batch scoring):
-    ``fn`` must be a picklable module-level callable and each item
-    picklable.  Guarantees:
+    The executor under :meth:`ExperimentRunner.run_graph`, also used by
+    the lint passes: ``fn`` must be a picklable module-level callable
+    and each item picklable.  Guarantees:
 
     * results come back in input order, so serial (``jobs=1``) and
       parallel runs of a deterministic ``fn`` are byte-identical;
-    * per-item bounded retries with exponential backoff and
-      deterministic per-item jitter (``backoff * 2**attempt`` seconds
-      stretched by ``site_rng(seed, "runner.backoff", item, attempt)``),
-      surfacing as :class:`RunnerError` when exhausted, which names the
-      item by ``label(item)`` (a size-bounded ``repr`` by default);
+    * each item runs once; an exception surfaces as
+      :class:`RunnerError`, which names the item by ``label(item)`` (a
+      size-bounded ``repr`` by default).  Tasks are deterministic, so
+      running one again would only repeat its failure;
     * a broken pool (OOM-killed worker, fork failure) degrades to
-      in-process execution of the unfinished items — ``initializer``
-      is then invoked locally so per-process context stays available.
+      in-process execution of the unfinished items.
 
     ``jobs`` defaults to the ``SIMPROF_JOBS`` environment variable;
-    with one worker (or one item) everything runs in-process and the
-    initializer, if any, runs first.
+    with one worker (or one item) everything runs in-process.
     """
     jobs = resolve_jobs(jobs)
-    retries = max(0, int(retries))
-    backoff = max(0.0, float(backoff))
     work = list(items)
-
-    def sleep_before_retry(attempt: int, index: int) -> None:
-        _backoff_sleep(backoff, seed, attempt, index)
-
-    def run_inline(index: int, item: Any) -> Any:
-        last: Exception | None = None
-        for attempt in range(retries + 1):
-            if attempt > 0:
-                sleep_before_retry(attempt - 1, index)
-            try:
-                return fn(item)
-            except Exception as exc:  # noqa: BLE001 - rewrapped below
-                last = exc
-        raise RunnerError(
-            f"task {label(item)} failed after {retries + 1} attempts: {last}"
-        ) from last
-
     if jobs <= 1 or len(work) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return [run_inline(i, item) for i, item in enumerate(work)]
+        return [_run_once(fn, item, label) for item in work]
 
     results: list[Any] = [None] * len(work)
     done: set[int] = set()
     try:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(work)),
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            attempts = dict.fromkeys(range(len(work)), 0)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             futures = {pool.submit(fn, item): i for i, item in enumerate(work)}
-            while futures:
-                finished, _pending = wait(futures, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    i = futures.pop(future)
-                    exc = future.exception()
-                    if exc is None:
-                        results[i] = future.result()
-                        done.add(i)
-                        continue
-                    if isinstance(exc, BrokenProcessPool):
-                        raise exc
-                    attempts[i] += 1
-                    if attempts[i] > retries:
-                        raise RunnerError(
-                            f"task {label(work[i])} failed after "
-                            f"{retries + 1} attempts: {exc}"
-                        ) from exc
-                    sleep_before_retry(attempts[i] - 1, i)
-                    futures[pool.submit(fn, work[i])] = i
+            for future in as_completed(futures):
+                i = futures[future]
+                exc = future.exception()
+                if isinstance(exc, BrokenProcessPool):
+                    raise exc
+                if exc is not None:
+                    raise RunnerError(f"task {label(work[i])} failed: {exc}") from exc
+                results[i] = future.result()
+                done.add(i)
     except BrokenProcessPool:
         # A worker died hard (OOM, signal).  Finish what is left
         # in-process rather than losing the batch.
-        if initializer is not None:
-            initializer(*initargs)
         for i, item in enumerate(work):
             if i not in done:
-                results[i] = run_inline(i, item)
+                results[i] = _run_once(fn, item, label)
     return results
 
 
@@ -292,43 +241,10 @@ class ExperimentRunner:
     """Executes stage graphs against one artifact store."""
 
     def __init__(
-        self,
-        store: ArtifactStore | None = None,
-        *,
-        jobs: int | None = None,
-        retries: int = 2,
-        backoff: float = 0.0,
-        seed: int = 0,
+        self, store: ArtifactStore | None = None, *, jobs: int | None = None
     ) -> None:
         self.store = store or default_store()
         self.jobs = resolve_jobs(jobs)
-        self.retries = max(0, int(retries))
-        self.backoff = max(0.0, float(backoff))
-        # Seeds the retry-backoff jitter (site "runner.backoff") — not
-        # any workload randomness, which lives in the graph's params.
-        self.seed = int(seed)
-
-    def map_tasks(
-        self,
-        fn: Callable[[Any], Any],
-        items: Iterable[Any],
-        *,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple[Any, ...] = (),
-        label: Callable[[Any], str] = reprlib.repr,
-    ) -> list[Any]:
-        """Run :func:`map_tasks` with this runner's jobs/retries/backoff."""
-        return map_tasks(
-            fn,
-            items,
-            jobs=self.jobs,
-            retries=self.retries,
-            backoff=self.backoff,
-            seed=self.seed,
-            initializer=initializer,
-            initargs=initargs,
-            label=label,
-        )
 
     def plan_graph(self, graph: Any, *, code: Any | None = None) -> list[Any]:
         """Resolve a :class:`~repro.runtime.provenance.StageGraph` to
@@ -353,7 +269,7 @@ class ExperimentRunner:
         before the next trace is made; each stage takes its inputs from
         a per-run table of values produced or loaded in this run, and a
         value leaves the table once its last consumer has run.  With
-        more, each ready set fans out over :meth:`map_tasks`; workers
+        more, each ready set fans out over :func:`map_tasks`; workers
         materialise into the shared store and return keys.  Values are
         stored with their manifests either way, so a parallel run is
         byte-identical to a serial one.
@@ -408,16 +324,15 @@ class ExperimentRunner:
                 raise RunnerError(f"stage graph deadlock at {stuck}")
             if serial:
                 batch = [max(ready, key=lambda p: p.depth)]
-                keys = self.map_tasks(
-                    lambda payload: execute_payload({**payload, "values": values}),
-                    [worker_payload(p, self.store) for p in batch],
-                    label=_node_label,
-                )
+                payload = worker_payload(batch[0], self.store)
+                payload["values"] = values
+                keys = [_run_once(execute_payload, payload, _node_label)]
             else:
                 batch = ready
-                keys = self.map_tasks(
+                keys = map_tasks(
                     execute_payload,
                     [worker_payload(p, self.store) for p in batch],
+                    jobs=self.jobs,
                     label=_node_label,
                 )
                 for key in filter(None, keys):

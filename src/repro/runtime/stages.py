@@ -92,15 +92,12 @@ def stage_phase_fit(
     """Cluster the featurized units into phases (silhouette k-sweep)."""
     from repro.core.phases import PhaseModel
 
-    # jobs=1: graph-level parallelism owns the fan-out; pool workers
-    # must never nest process pools.
     return PhaseModel.fit(
         inputs["job"],
         top_k=params["top_k"],
         max_phases=params["max_phases"],
         score_threshold=params["score_threshold"],
         seed=params["seed"],
-        jobs=1,
         features=inputs["features"],
     )
 

@@ -189,7 +189,9 @@ class TestCliEngineOptions:
 
     def test_jobs_rejects_garbage(self, tree, capsys, monkeypatch):
         monkeypatch.chdir(tree)
-        assert main(["check", "--jobs", "many", "src"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--jobs", "many", "src"])
+        assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
     def test_changed_requires_cache(self, tree, capsys, monkeypatch):

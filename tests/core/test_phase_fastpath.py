@@ -1,7 +1,7 @@
 """Parity and property tests for the phase-formation fast path.
 
-The fast path (shared-distance silhouette, parallel k-sweep, batched
-featurization, sweep-result reuse) must be *pure acceleration*: every
+The fast path (shared-distance silhouette, batched featurization,
+sweep-result reuse) must be *pure acceleration*: every
 test here pins its output to the straightforward pre-fast-path
 implementations kept in :mod:`repro.core._reference` — bitwise for
 feature matrices, phase counts, assignments and centres; ``allclose``
@@ -25,7 +25,6 @@ from repro.core.clustering import (
     pick_k,
     select_phases,
     silhouette_score,
-    sweep_k,
 )
 from repro.core.features import FeatureSpace, UnitFeaturizer, build_feature_matrix
 from repro.core.phases import PhaseModel
@@ -185,23 +184,10 @@ class TestPickK:
 
 
 class TestSweepParity:
-    def test_serial_and_parallel_sweeps_bitwise_identical(self):
-        X = blobs([[0, 0], [8, 8], [0, 8]], 40, 0.4)
-        s_scores, s_results = sweep_k(X, k_max=6, seed=0, jobs=1)
-        p_scores, p_results = sweep_k(X, k_max=6, seed=0, jobs=2)
-        assert list(s_scores.items()) == list(p_scores.items())
-        assert list(s_results) == list(p_results)
-        for k in s_results:
-            assert np.array_equal(s_results[k].centers, p_results[k].centers)
-            assert np.array_equal(
-                s_results[k].assignments, p_results[k].assignments
-            )
-            assert s_results[k].inertia == p_results[k].inertia
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_select_phases_matches_reference(self, seed):
         X = blobs([[0, 0], [8, 8], [0, 8]], 30, 0.5, seed=seed)
-        k, scores, result = select_phases(X, k_max=6, seed=seed, jobs=1)
+        k, scores, result = select_phases(X, k_max=6, seed=seed)
         k_ref, scores_ref, result_ref = reference_choose_k(
             X, k_max=6, seed=seed
         )
@@ -244,17 +230,6 @@ class TestPhaseModelFastPath:
         assert result_ref is not None
         assert np.array_equal(model.assignments, result_ref.assignments)
         assert np.array_equal(model.centers, result_ref.centers)
-
-    def test_fit_parallel_jobs_bitwise_identical(self):
-        job = two_phase_job()
-        serial = PhaseModel.fit(job, top_k=50, max_phases=5, seed=0, jobs=1)
-        parallel = PhaseModel.fit(job, top_k=50, max_phases=5, seed=0, jobs=2)
-        assert serial.k == parallel.k
-        assert np.array_equal(serial.assignments, parallel.assignments)
-        assert np.array_equal(serial.centers, parallel.centers)
-        assert list(serial.silhouette_by_k.items()) == (
-            list(parallel.silhouette_by_k.items())
-        )
 
     def test_fit_with_feature_cache_bit_identical(self, tmp_path):
         """Features served from a store entry (the graph's featurize

@@ -62,6 +62,33 @@ class TestAnalyze:
         np.testing.assert_array_equal(a.simulation_points, b.simulation_points)
         assert a.points.estimate == b.points.estimate
 
+    def test_starts_no_process_pool(self, wc_spark_trace, simprof_tool, monkeypatch):
+        """The facade runs in-process whatever ``SIMPROF_JOBS`` says: the
+        runner's ``map_tasks`` is the one pool, and it fans out stage
+        nodes, not the k-sweep inside one."""
+        from repro.runtime import runner
+
+        pools = []
+        real_pool = runner.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setenv("SIMPROF_JOBS", "1")
+        serial = simprof_tool.analyze(wc_spark_trace, n_points=20)
+        monkeypatch.setenv("SIMPROF_JOBS", "2")
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", spy)
+        fanned = simprof_tool.analyze(wc_spark_trace, n_points=20)
+        assert pools == []
+        assert len(fanned.model.silhouette_by_k) > 2
+        np.testing.assert_array_equal(
+            fanned.simulation_points, serial.simulation_points
+        )
+        np.testing.assert_array_equal(
+            fanned.model.assignments, serial.model.assignments
+        )
+
 
 class TestSampleSizeFor:
     def test_tighter_error_needs_more(self, wc_spark_profile, wc_spark_model,

@@ -67,8 +67,11 @@ class TestResolveJobs:
         assert resolve_jobs(None) == 1
 
     def test_floor_at_one(self):
-        assert resolve_jobs(0) == 1
-        assert resolve_jobs(-4) == 1
+        """An explicit non-positive worker count is an error, not serial."""
+        for jobs in (0, -4):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                resolve_jobs(jobs)
+        assert resolve_jobs(1) == 1
 
 
 class TestKeys:
@@ -174,25 +177,8 @@ class TestRunnerSerial:
         with pytest.raises(ValueError, match="want"):
             _graph([_spec()], want="banana")
 
-    def test_bounded_retries_then_success(self, tmp_path, monkeypatch):
-        real = provenance.execute_payload
-        failures = {"left": 2}
-
-        def flaky(payload):
-            if failures["left"] > 0:
-                failures["left"] -= 1
-                raise OSError("transient worker failure")
-            return real(payload)
-
-        monkeypatch.setattr(provenance, "execute_payload", flaky)
-        graph, [nodes] = _graph([_spec()], want="profile")
-        result = ExperimentRunner(
-            ArtifactStore(tmp_path), jobs=1, retries=2
-        ).run_graph(graph)
-        assert result[nodes["profile"]].n_units > 0
-        assert failures["left"] == 0
-
     def test_retries_exhausted_raise_runner_error(self, tmp_path, monkeypatch):
+        """A failing stage runs once, then surfaces naming its node."""
         calls = []
 
         def always_fails(payload):
@@ -200,12 +186,10 @@ class TestRunnerSerial:
             raise OSError("persistent failure")
 
         monkeypatch.setattr(provenance, "execute_payload", always_fails)
-        graph, _ = _graph([_spec()], want="profile")
-        with pytest.raises(RunnerError, match="after 2 attempts"):
-            ExperimentRunner(
-                ArtifactStore(tmp_path), jobs=1, retries=1
-            ).run_graph(graph)
-        assert len(calls) == 2
+        graph, [nodes] = _graph([_spec()], want="profile")
+        with pytest.raises(RunnerError, match=f"test/{nodes['trace']}"):
+            ExperimentRunner(ArtifactStore(tmp_path), jobs=1).run_graph(graph)
+        assert len(calls) == 1
 
     def test_failed_node_error_is_short_and_named(self, tmp_path, monkeypatch):
         def always_fails(payload):
@@ -214,9 +198,7 @@ class TestRunnerSerial:
         monkeypatch.setattr(provenance, "execute_payload", always_fails)
         graph, [nodes] = _graph([_spec()], want="profile")
         with pytest.raises(RunnerError) as failed:
-            ExperimentRunner(
-                ArtifactStore(tmp_path), jobs=1, retries=0
-            ).run_graph(graph)
+            ExperimentRunner(ArtifactStore(tmp_path), jobs=1).run_graph(graph)
         message = str(failed.value)
         assert len(message) < 500, message
         assert f"test/{nodes['trace']}" in message
@@ -230,6 +212,14 @@ def _assert_same_pickles(reference, other) -> None:
         assert (
             pkl.read_bytes() == (other / pkl.name).read_bytes()
         ), f"artifact {pkl.name} differs from the serial run"
+
+
+@provenance.stage_fn("report")
+def _failing_stage(inputs, params):
+    """A deterministic stage bug: logs its node's name, then raises."""
+    with open(params["log"], "a") as log:
+        log.write(params["name"] + "\n")
+    raise ValueError("deterministic bug")
 
 
 @pytest.mark.slow
@@ -262,9 +252,24 @@ class TestRunnerParallel:
             [_spec("no-such-workload"), _spec("also-missing")], want="profile"
         )
         with pytest.raises(RunnerError):
-            ExperimentRunner(
-                ArtifactStore(tmp_path), jobs=2, retries=0
-            ).run_graph(graph)
+            ExperimentRunner(ArtifactStore(tmp_path), jobs=2).run_graph(graph)
+
+    def test_parallel_failing_stage_runs_once(self, tmp_path):
+        """A stage raising in a pool worker is not re-run."""
+        calls = tmp_path / "calls"
+        graph = StageGraph("failing")
+        for name in ("a", "b"):
+            graph.node(
+                name, _failing_stage, params={"name": name, "log": str(calls)}
+            )
+        with pytest.raises(RunnerError, match="failing/[ab]") as failed:
+            ExperimentRunner(ArtifactStore(tmp_path / "store"), jobs=2).run_graph(
+                graph
+            )
+        assert "deterministic bug" in str(failed.value)
+        # Each node that started ran once; none ran a second time.
+        names = calls.read_text().split()
+        assert names and len(names) == len(set(names)), names
 
 
 _PARENT_PID = os.getpid()
@@ -303,50 +308,6 @@ class TestBrokenPoolDegradation:
         _assert_same_pickles(tmp_path / "serial", tmp_path / "broken")
 
 
-def _never_succeeds(x: int) -> int:
-    raise OSError("persistent failure")
-
-
-class TestBackoff:
-    def _capture_sleeps(self, monkeypatch, seed=0):
-        sleeps: list[float] = []
-        monkeypatch.setattr(
-            runner_module.time, "sleep", lambda s: sleeps.append(s)
-        )
-        with pytest.raises(RunnerError, match="after 3 attempts"):
-            runner_module.map_tasks(
-                _never_succeeds, [0], jobs=1, retries=2, backoff=0.5, seed=seed
-            )
-        return sleeps
-
-    def test_exponential_backoff_with_bounded_jitter(self, monkeypatch):
-        # Jittered exponential backoff: each sleep lands in
-        # [base, 1.5 * base] where base doubles per attempt.
-        sleeps = self._capture_sleeps(monkeypatch)
-        assert len(sleeps) == 2
-        for attempt, s in enumerate(sleeps):
-            base = 0.5 * 2.0**attempt
-            assert base <= s <= base * 1.5
-
-    def test_backoff_jitter_is_seeded(self, monkeypatch):
-        # Same seed → identical sleep schedule (replayable); different
-        # seed → desynchronised jitter.
-        a = self._capture_sleeps(monkeypatch, seed=3)
-        b = self._capture_sleeps(monkeypatch, seed=3)
-        c = self._capture_sleeps(monkeypatch, seed=4)
-        assert a == b
-        assert a != c
-
-    def test_zero_backoff_never_sleeps(self, monkeypatch):
-        monkeypatch.setattr(
-            runner_module.time,
-            "sleep",
-            lambda s: pytest.fail("sleep called with backoff=0"),
-        )
-        with pytest.raises(RunnerError):
-            runner_module.map_tasks(_never_succeeds, [0], jobs=1, retries=1)
-
-
 class TestCheckpoint:
     def test_resume_after_store_sweep_heals(self, tmp_path):
         """Entries the store lost between runs are recomputed."""
@@ -365,27 +326,9 @@ class TestCheckpoint:
 
 # -- map_tasks ----------------------------------------------------------------
 
-_MAP_STATE: dict[str, int] = {}
-
 
 def _double(x: int) -> int:
     return 2 * x
-
-
-def _scaled(x: int) -> int:
-    return _MAP_STATE["factor"] * x
-
-
-def _map_init(factor: int) -> None:
-    _MAP_STATE["factor"] = factor
-
-
-def _flaky(x: int) -> int:
-    _MAP_STATE.setdefault("calls", 0)
-    _MAP_STATE["calls"] += 1
-    if _MAP_STATE["calls"] < 3:
-        raise RuntimeError("transient")
-    return x
 
 
 def _always_fails(x: int) -> int:
@@ -406,37 +349,13 @@ class TestMapTasks:
             runner_module.map_tasks(_double, items, jobs=3)
         )
 
-    def test_initializer_runs_serially(self):
-        _MAP_STATE.clear()
-        out = runner_module.map_tasks(
-            _scaled, [1, 2, 3], jobs=1, initializer=_map_init, initargs=(10,)
-        )
-        assert out == [10, 20, 30]
-
-    def test_initializer_runs_in_workers(self):
-        out = runner_module.map_tasks(
-            _scaled, [1, 2, 3], jobs=2, initializer=_map_init, initargs=(7,)
-        )
-        assert out == [7, 14, 21]
-
-    def test_serial_retries_transient_failures(self):
-        _MAP_STATE.clear()
-        assert runner_module.map_tasks(_flaky, [42], jobs=1, retries=2) == [42]
-        assert _MAP_STATE["calls"] == 3
-
     def test_exhausted_retries_raise_runner_error(self):
         with pytest.raises(RunnerError, match="permanent"):
-            runner_module.map_tasks(_always_fails, [1], jobs=1, retries=1)
+            runner_module.map_tasks(_always_fails, [1], jobs=1)
 
     def test_parallel_failure_raises_runner_error(self):
         with pytest.raises(RunnerError, match="permanent"):
-            runner_module.map_tasks(
-                _always_fails, [1, 2], jobs=2, retries=0
-            )
+            runner_module.map_tasks(_always_fails, [1, 2], jobs=2)
 
     def test_empty_items(self):
         assert runner_module.map_tasks(_double, [], jobs=4) == []
-
-    def test_runner_method_uses_configured_jobs(self, tmp_path):
-        runner = ExperimentRunner(ArtifactStore(tmp_path), jobs=1)
-        assert runner.map_tasks(_double, [5]) == [10]

@@ -54,6 +54,12 @@ class TestParser:
         (["report", "--scale", "inf"], "--scale: must be > 0"),
         (["sensitivity", "cc_sp", "--points", "0"], "--points: must be >= 1"),
         (["figure", "fig7", "--draws", "two"], "--draws: invalid int value: 'two'"),
+        (["figure", "table1", "--jobs", "-4"], "--jobs: must be >= 1"),
+        (["figure", "fig7", "--jobs", "0"], "--jobs: must be >= 1"),
+        (["report", "--jobs", "0"], "--jobs: must be >= 1"),
+        (["check", "--jobs", "0"], "--jobs: must be >= 1"),
+        (["check", "--jobs", "-2", "src"], "--jobs: must be >= 1"),
+        (["check", "--jobs", "many"], "--jobs: invalid int value: 'many'"),
     ])
     def test_rejects_non_positive_numbers(self, argv, message, capsys):
         """Bad counts and sizes are usage errors, caught before any run."""
