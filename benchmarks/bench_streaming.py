@@ -5,7 +5,10 @@ deterministic synthetic stream (packed ``SEGMENT_DTYPE`` batches built
 vectorised, no per-segment Python objects on the producer side):
 
 * **Parity** — the streaming profiler's units are bit-identical to the
-  batch profiler's on the identical stream.
+  batch profiler's on the identical stream: both run the same unit
+  cutter, fed ``ROWS_PER_BATCH``-row batches in one case and the whole
+  thread as one batch in the other, so this checks that the cutter's
+  output does not depend on the batch split.
 * **Throughput** — the columnar consumer (``StreamingProfiler`` over
   ``feed_array``) beats the pre-columnar object path
   (:class:`repro.core._reference.ReferenceUnitCutter` fed one

@@ -85,7 +85,8 @@ class ReferenceUnitCutter:
         # zero-instruction prefix folds into its left endpoint exactly
         # as np.interp's last-duplicate rule would have it.
         self._next_boundary = 0
-        # Poll timer state, mirroring StackSnapshotter._poll_points.
+        # Poll timer state: the first poll fires one period in, each
+        # later one period * U(1 - jitter, 1 + jitter) after the last.
         self._first = cfg.snapshot_period
         if cfg.snapshot_jitter == 0.0:
             self._rng = None
@@ -106,8 +107,8 @@ class ReferenceUnitCutter:
             return
         cfg = self._cfg
         # One lazy draw per gap: scalar uniform() calls consume the
-        # PCG64 stream exactly like the batch path's single
-        # uniform(size=n) array draw, element for element.
+        # PCG64 stream exactly like the columnar cutter's chunked
+        # uniform(size=n) draws, element for element.
         gap = cfg.snapshot_period * self._rng.uniform(
             1.0 - cfg.snapshot_jitter, 1.0 + cfg.snapshot_jitter
         )
@@ -202,7 +203,7 @@ class ReferenceUnitCutter:
                     self._next_boundary, self._cum_c, self._cum_l1, self._cum_llc
                 )
             )
-        self._counts.clear()  # trailing partial unit, dropped like batch
+        self._counts.clear()  # trailing partial unit is dropped
         return out
 
 

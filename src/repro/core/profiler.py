@@ -1,9 +1,9 @@
 """Thread profiling (Section III-A).
 
-Consumes a :class:`~repro.jvm.job.JobTrace` strictly through the two
-standard profiling interfaces — the JVMTI-like stack snapshotter and
-the perf_event-like counter reader — and produces the sampling units
-SimProf works with:
+Cuts an executor thread's instruction stream into the sampling units
+SimProf works with, reading the thread only as a real JVMTI/perf_event
+agent could — the live call stack at each poll point and the hardware
+counters at each unit boundary:
 
 * the thread's instruction stream is cut into fixed-size units
   (default 100 M instructions; a trailing partial unit is dropped),
@@ -15,15 +15,19 @@ SimProf works with:
 For Hadoop jobs the incoming trace has already been merged per core by
 the runtime, so the profiler is framework-agnostic here.
 
-Two consumption modes share the same arithmetic:
+One incremental cutter, :class:`_UnitCutter`, does the cutting for
+both consumption modes:
 
-* :class:`SimProfProfiler` — the classic batch path over a fully
-  materialised :class:`~repro.jvm.job.JobTrace`;
-* :class:`StreamingProfiler` — an incremental path over a
-  :class:`~repro.jvm.stream.TraceStream` that emits each
+* :class:`SimProfProfiler` — over a fully materialised
+  :class:`~repro.jvm.job.JobTrace`, fed to the cutter as one batch;
+* :class:`StreamingProfiler` — over a
+  :class:`~repro.jvm.stream.TraceStream`, emitting each
   :class:`~repro.core.units.SamplingUnit` the moment its closing
   boundary streams past, holding only O(active-unit) state per thread.
-  Under the same seed it is bit-identical to the batch path.
+
+The cutter's output does not depend on how the segments are chunked
+into batches, so under the same seed both modes give bit-identical
+units.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ import numpy as np
 
 from repro.core.units import JobProfile, SamplingUnit, ThreadProfile
 from repro.jvm.job import JobTrace, StageInfo
-from repro.jvm.jvmti import StackSnapshotter
-from repro.jvm.perf import PerfCounterReader
 from repro.jvm.stream import (
     JobEnd,
     SegmentBatch,
@@ -103,41 +105,12 @@ class SimProfProfiler:
     def profile_thread(self, trace: ThreadTrace) -> ThreadProfile:
         """Profile one executor thread into sampling units."""
         cfg = self.config
-        snapshotter = StackSnapshotter(trace)
-        counters = PerfCounterReader(trace)
-        total = snapshotter.total_instructions
-        n_units = total // cfg.unit_size
-        if n_units == 0:
+        cutter = _UnitCutter(trace.thread_id, cfg)
+        units = cutter.feed_array(trace.to_structured()) + cutter.flush()
+        if not units:
             raise ValueError(
-                f"thread {trace.thread_id} retired {total} instructions, "
+                f"thread {trace.thread_id} retired {cutter.total} instructions, "
                 f"fewer than one sampling unit ({cfg.unit_size})"
-            )
-
-        boundaries = np.arange(0, (n_units + 1) * cfg.unit_size, cfg.unit_size)
-        windows = counters.read_windows(boundaries.astype(np.float64))
-
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, trace.thread_id & 0x7FFFFFFF])
-        )
-        offsets, stack_ids = snapshotter.snapshot_arrays(
-            cfg.snapshot_period, jitter=cfg.snapshot_jitter, rng=rng
-        )
-        unit_of_snapshot = offsets // cfg.unit_size
-
-        units: list[SamplingUnit] = []
-        for i, win in enumerate(windows):
-            mask = unit_of_snapshot == i
-            ids, counts = np.unique(stack_ids[mask], return_counts=True)
-            units.append(
-                SamplingUnit(
-                    index=i,
-                    stack_ids=ids.astype(np.int64),
-                    stack_counts=counts.astype(np.int64),
-                    instructions=win.instructions,
-                    cycles=win.cycles,
-                    l1d_misses=win.l1d_misses,
-                    llc_misses=win.llc_misses,
-                )
             )
         return ThreadProfile(
             thread_id=trace.thread_id,
@@ -164,10 +137,6 @@ class SimProfProfiler:
             meta=dict(job.meta),
         )
 
-    def profile_stream(self, stream: TraceStream, **kwargs: Any) -> JobProfile:
-        """Profile a live trace stream (see :class:`StreamingProfiler`)."""
-        return StreamingProfiler(self.config).consume(stream, **kwargs)
-
 
 def profile_trace(trace: JobTrace, config: ProfilerConfig) -> JobProfile:
     """Stage 1: profile a job trace's configured (default: busiest) thread."""
@@ -182,24 +151,26 @@ class _UnitCutter:
     """Incremental columnar unit cutter for one thread.
 
     Consumes whole :data:`~repro.jvm.segments.SEGMENT_DTYPE` batches
-    (:meth:`feed_array`) and replays the batch arithmetic exactly:
+    (:meth:`feed_array`); the units it emits do not depend on how the
+    segment sequence is split into batches:
 
     * the chained ``np.cumsum`` over each batch's float64 counter
-      columns is bit-identical to ``PerfCounterReader``'s global cumsum
+      columns equals one cumsum over the whole thread bit for bit
       (both are sequential left-to-right accumulation, and the carry is
       the exact running value);
-    * poll points come from the same PCG64 stream as the batch
-      snapshotter — chunked ``uniform(size=n)`` draws consume the
-      generator exactly like ``n`` scalar draws, and the buffered
+    * poll points come from one PCG64 stream seeded by
+      ``(seed, thread_id)`` — chunked ``uniform(size=n)`` draws consume
+      the generator exactly like ``n`` scalar draws, and the buffered
       leftovers are the next draws in order;
     * snapshot→segment assignment is ``searchsorted(cum_end, points,
       side="right")`` — a poll point belongs to the first segment whose
       cumulative count strictly exceeds it, the consume-when-passed
-      rule;
+      rule — and only points below the instructions retired so far
+      fire;
     * boundary counters come from one ``np.interp`` per column over the
       batch-local chained cumsum, which selects the same bracketing
       interval (and the same last-duplicate resolution for exact
-      matches) as the global call.
+      matches) as one call over the whole thread.
 
     Two ordering rules keep the duplicate-abscissa semantics of
     ``np.interp`` (exact matches resolve to the *last* duplicate): a
@@ -213,8 +184,10 @@ class _UnitCutter:
     its boundaries preserves the per-segment interleaving.
 
     The scalar per-segment original lives on as
-    :class:`repro.core._reference.ReferenceUnitCutter`; the parity
-    suite holds the two bit-identical.
+    :class:`repro.core._reference.ReferenceUnitCutter`, which sees one
+    segment per call; the parity suite feeds both the same streams
+    under arbitrary batch splits and holds the units bit-identical,
+    which is what pins the chunking invariance.
     """
 
     __slots__ = (
@@ -256,7 +229,8 @@ class _UnitCutter:
         # zero-instruction prefix folds into its left endpoint exactly
         # as np.interp's last-duplicate rule would have it.
         self._next_boundary = 0
-        # Poll timer state, mirroring StackSnapshotter._poll_points.
+        # Poll timer state: the first poll fires one period in, each
+        # later one period * U(1 - jitter, 1 + jitter) after the last.
         self._first = cfg.snapshot_period
         if cfg.snapshot_jitter == 0.0:
             self._rng = None
@@ -419,7 +393,7 @@ class _UnitCutter:
         # Snapshots: searchsorted(side="right") hands each poll point to
         # the first segment whose cumulative count strictly exceeds it
         # (consume-when-passed); points at or beyond the batch total
-        # stay pending, reproducing the batch points-<-total filter.
+        # stay pending, so no poll fires at the thread's final count.
         points = self._consume_points(total_new)
         if points is not None:
             seg_of_point = np.searchsorted(cum_end, points, side="right")
@@ -430,8 +404,8 @@ class _UnitCutter:
         # Unit boundaries this batch streamed past.  One np.interp per
         # column over the batch-local chained cumsum selects the same
         # bracketing interval — and the same last-duplicate resolution
-        # for boundaries sitting exactly on a segment end — as the
-        # global call over the whole trace.
+        # for boundaries sitting exactly on a segment end — as one call
+        # over the whole trace.
         bs = np.arange(self._next_boundary, total_new, cfg.unit_size)
         fbs = bs.astype(np.float64)
         c_bs = np.interp(fbs, ci, cc)
@@ -465,7 +439,7 @@ class _UnitCutter:
                     self._next_boundary, self._cum_c, self._cum_l1, self._cum_llc
                 )
             )
-        self._counts.clear()  # trailing partial unit, dropped like batch
+        self._counts.clear()  # trailing partial unit is dropped
         return out
 
     # -- snapshot protocol -------------------------------------------
@@ -758,8 +732,8 @@ class StreamingProfiler:
     Where :class:`SimProfProfiler` needs the whole trace in memory,
     this consumes segment events as they arrive — each thread carries a
     constant-size :class:`_UnitCutter` — and emits every completed
-    sampling unit immediately.  The arithmetic replays the batch path
-    operation for operation, so with the same :class:`ProfilerConfig`
+    sampling unit immediately.  The batch path feeds the same cutter
+    the whole thread at once, so with the same :class:`ProfilerConfig`
     (seed included) the produced units are bit-identical.
     """
 

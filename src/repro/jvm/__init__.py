@@ -12,11 +12,9 @@ reproduce that bridge with a simulated JVM:
 * :mod:`repro.jvm.machine` — the analytic hardware model that converts
   operation descriptors into counter values (base CPI + miss penalties
   from a working-set cache model, LLC sharing, OS-migration cold starts).
-* :mod:`repro.jvm.jvmti` / :mod:`repro.jvm.perf` — the JVMTI-like
-  snapshot interface and the perf_event-like counter reader that
-  SimProf's thread profiler consumes; they see only what the real
-  interfaces would expose (stacks at sampled instants, counters per
-  window), never the underlying segments.
+* :mod:`repro.jvm.perf` — the perf_event-like counter reader
+  (counter totals over any instruction window, which systematic
+  sampling prices its samples with) and the counter-glitch fault model.
 * :mod:`repro.jvm.segments` / :mod:`repro.jvm.stream` — the columnar
   trace plane: the packed ``SEGMENT_DTYPE`` batch format and the
   in-process event stream that moves batches by reference from the
@@ -32,7 +30,6 @@ from repro.jvm.machine import (
     OpKind,
 )
 from repro.jvm.threads import ThreadTrace, TraceBuilder, TraceSegment
-from repro.jvm.jvmti import StackSnapshot, StackSnapshotter
 from repro.jvm.perf import CounterWindow, PerfCounterReader
 from repro.jvm.job import JobTrace, StageInfo
 from repro.jvm.segments import SEGMENT_DTYPE, segment_checksum
@@ -61,8 +58,6 @@ __all__ = [
     "PerfCounterReader",
     "SEGMENT_DTYPE",
     "SegmentBatch",
-    "StackSnapshot",
-    "StackSnapshotter",
     "StackTable",
     "StageEvent",
     "StageInfo",

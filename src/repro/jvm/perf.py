@@ -137,29 +137,6 @@ class PerfCounterReader:
             llc_misses=float(llc[1] - llc[0]),
         )
 
-    def read_windows(self, boundaries: np.ndarray) -> list[CounterWindow]:
-        """Counter totals for consecutive windows between ``boundaries``.
-
-        ``boundaries`` must be non-decreasing instruction offsets; window
-        i covers ``[boundaries[i], boundaries[i+1])``.  Interpolation is
-        batched so the cost is one pass regardless of window count.
-        """
-        b = np.asarray(boundaries, dtype=np.float64)
-        if len(b) < 2:
-            return []
-        if np.any(np.diff(b) < 0):
-            raise ValueError("boundaries must be non-decreasing")
-        if b[0] < 0 or b[-1] > self._total:
-            raise ValueError("boundaries outside the trace")
-        c = np.diff(self._interp(self._cum_c, b))
-        l1 = np.diff(self._interp(self._cum_l1, b))
-        llc = np.diff(self._interp(self._cum_llc, b))
-        insts = np.diff(b)
-        return [
-            CounterWindow(float(i_), float(c_), float(l1_), float(llc_))
-            for i_, c_, l1_, llc_ in zip(insts, c, l1, llc)
-        ]
-
     def time_of_instruction(self, offset: float, clock_hz: float) -> float:
         """Wall-clock seconds (thread-local) at an instruction offset."""
         cyc = float(self._interp(self._cum_c, np.array([offset]))[0])

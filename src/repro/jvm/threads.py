@@ -9,9 +9,10 @@ segment is born as one packed row; :class:`TraceSegment` is its object
 view.
 
 A :class:`ThreadTrace` is the full segment sequence of one executor
-thread; the SimProf profiler consumes traces only through the
-JVMTI/perf-like interfaces in :mod:`repro.jvm.jvmti` and
-:mod:`repro.jvm.perf`, never through the segments directly.
+thread.  The SimProf profiler reads it as the packed column batches
+of :meth:`ThreadTrace.to_structured`, and only as a real agent would:
+the live stack at each poll point and the counters at each unit
+boundary (:class:`repro.core.profiler._UnitCutter`).
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ class ThreadTrace:
         ``op_kind`` coded via ``OP_KIND_CODES``.  Rows appended since
         the last call are packed onto the previous array, which is then
         reused until the next append, so repeat packers (replay
-        streaming, the snapshotter, the counter reader) share one array.
+        streaming, the unit cutter, the counter reader) share one array.
         """
         if self._packed is None or self._rows:
             tail = np.frombuffer(self._rows, dtype=SEGMENT_DTYPE)
@@ -252,9 +253,9 @@ class ThreadTrace:
 
         Keys: ``stack_id``, ``op_kind`` (coded via ``OP_KIND_CODES``),
         ``instructions``, ``cycles``, ``l1d_misses``, ``llc_misses``,
-        ``stage_id``, ``task_id``.  Downstream consumers (the profiler,
-        the counter reader) work exclusively on these arrays.  The
-        values are column views of :meth:`to_structured`.
+        ``stage_id``, ``task_id``.  The values are column views of
+        :meth:`to_structured`, which the profiler's unit cutter reads
+        directly.
         """
         data = self.to_structured()
         return {name: data[name] for name in SEGMENT_FIELDS if name != "cold"}

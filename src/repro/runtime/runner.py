@@ -102,7 +102,8 @@ def map_tasks(
     * each item runs once; an exception surfaces as
       :class:`RunnerError`, which names the item by ``label(item)`` (a
       size-bounded ``repr`` by default).  Tasks are deterministic, so
-      running one again would only repeat its failure;
+      running one again would only repeat its failure.  The first
+      failure cancels every task not yet started;
     * a broken pool (OOM-killed worker, fork failure) degrades to
       in-process execution of the unfinished items.
 
@@ -125,6 +126,9 @@ def map_tasks(
                 if isinstance(exc, BrokenProcessPool):
                     raise exc
                 if exc is not None:
+                    # Fail fast: drop the queued siblings, so leaving the
+                    # pool waits only for the tasks already running.
+                    pool.shutdown(wait=False, cancel_futures=True)
                     raise RunnerError(f"task {label(work[i])} failed: {exc}") from exc
                 results[i] = future.result()
                 done.add(i)

@@ -93,6 +93,23 @@ class TestProfileThread:
         assert list(unit0.stack_ids) == [table.intern(stacks[0])]
         assert table.intern(stacks[1]) in list(unit1.stack_ids)
 
+    def test_poll_semantics_on_segment_ends(self, parts):
+        registry, table, stacks = parts
+        # stack0 for 100, stack1 for 50, stack0 for 50 instructions.
+        trace = make_trace(
+            [(stacks[0], 100, 1.0), (stacks[1], 50, 1.0), (stacks[0], 50, 1.0)],
+            table,
+        )
+        profiler = SimProfProfiler(
+            ProfilerConfig(unit_size=200, snapshot_period=10, snapshot_jitter=0.0)
+        )
+        (unit,) = profiler.profile_thread(trace).units
+        # Polls fire at 10, 20, ..., 190: the first one period in, none
+        # at the total (200).  A poll on a segment end (100, 150) sees
+        # the next segment's stack: 9 + 5 polls on stack0, 5 on stack1.
+        counts = dict(zip(unit.stack_ids.tolist(), unit.stack_counts.tolist()))
+        assert counts == {table.intern(stacks[0]): 14, table.intern(stacks[1]): 5}
+
     def test_jitter_determinism_per_seed(self, parts):
         registry, table, stacks = parts
         trace = make_trace([(stacks[0], 1000, 1.0)], table)

@@ -75,23 +75,6 @@ class TestRead:
             reader.read(0, 1000)
 
 
-class TestReadWindows:
-    def test_windows_partition_the_trace(self, two_phase_trace):
-        reader = PerfCounterReader(two_phase_trace)
-        wins = reader.read_windows(np.array([0, 50, 100, 200]))
-        assert len(wins) == 3
-        assert sum(w.cycles for w in wins) == pytest.approx(reader.total_cycles)
-
-    def test_rejects_decreasing_boundaries(self, two_phase_trace):
-        reader = PerfCounterReader(two_phase_trace)
-        with pytest.raises(ValueError):
-            reader.read_windows(np.array([0, 100, 50]))
-
-    def test_empty_boundaries(self, two_phase_trace):
-        reader = PerfCounterReader(two_phase_trace)
-        assert reader.read_windows(np.array([0])) == []
-
-
 class TestCounterWindow:
     def test_ipc_and_mpki(self, two_phase_trace):
         reader = PerfCounterReader(two_phase_trace)

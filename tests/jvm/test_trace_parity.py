@@ -7,6 +7,13 @@ pin is the sha256 of every thread's ``(thread_id, core_id,
 start_cycle)`` header and ``to_structured()`` bytes, in trace order,
 plus the job's HDFS and shuffle byte counters.  Any change to pricing,
 to the RNG draw order or to record sizing moves at least one of them.
+
+``PROFILE_PINS`` holds, per fig7 label, the ``content_digest()`` of the
+job profile that ``profile_trace`` cuts from the same trace under
+``ProfilerConfig(seed=0)``.  They were recorded from the batch
+snapshotter/window-reader profiler, before batch profiling moved onto
+the incremental unit cutter, so they hold the cutter to the units the
+old path produced.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import hashlib
 
 import pytest
 
+from repro.core.profiler import ProfilerConfig, profile_trace
 from repro.experiments.common import all_label_pairs
 from repro.workloads import label_of, run_workload
 
@@ -70,6 +78,22 @@ FIG7_PINS = {
     ),
 }
 
+# label -> profile_trace(trace, ProfilerConfig(seed=0)).content_digest()
+PROFILE_PINS = {
+    "sort_hp": "cec4c9c05c9cc491f7ae9bcece3e3c612753db8b04e2484fe6f56c979c6b0b2e",
+    "wc_hp": "86f498aeb1e133a9f527c50fa183cbdd3a412e6c093dc0ed818fb534a399fda2",
+    "grep_hp": "a3a12082f7c13f11df39432d4a5f7483c256252fb00b78c6b25105893b377ef7",
+    "bayes_hp": "8daf01e17ca82cf36d7c55121f1a2365dcbf5522a0093e7d0f7d0adeb197399f",
+    "cc_hp": "a037a3f4899d386be1f6f8590f02190e7bbe149277ab0d7abe54302bb76e9e8b",
+    "rank_hp": "1eb3cf2665346304bf076508beca608eb7cc7535503690cc4a3a54589c6f0470",
+    "sort_sp": "10aa4d55152d79ab5477e32fdd21af0cfeeebd1997030ed293389e19beb754e6",
+    "wc_sp": "d510f296261cef2c8f5c2b165027fa0c059eefb4f9aef110f51ae31d25502a5e",
+    "grep_sp": "26f46ac73da4d9597ed2c30d29e78529a9c87a270aedd28b0f36c4a16e14534e",
+    "bayes_sp": "5ff130a40a17542b95fc2e4b2682e9c06dc327ef13e91f48aab12f8b8de17b5a",
+    "cc_sp": "d66e5b1433390eb46edf25728fc5c52e1dc12a5eeffd2ac5f03459402aab1429",
+    "rank_sp": "fdb48285fa64aca6e7f2d3d17e88912dd62fb402f28d1a82cc863d0731b81bc1",
+}
+
 # The same digests at scale 0.1, for the four largest trace-gen runs.
 SCALE_01_PINS = {
     "wc_sp": (
@@ -111,6 +135,8 @@ def test_fig7_traces_match_pins(workload, framework):
     label = label_of(workload, framework)
     job = run_workload(workload, framework, scale=0.01, seed=0)
     assert _fingerprint(job) == FIG7_PINS[label]
+    profile = profile_trace(job, ProfilerConfig(seed=0))
+    assert profile.content_digest() == PROFILE_PINS[label]
 
 
 @pytest.mark.slow

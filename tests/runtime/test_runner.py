@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import os
+import time
 
 import numpy as np
 import pytest
@@ -335,6 +337,16 @@ def _always_fails(x: int) -> int:
     raise RuntimeError("permanent")
 
 
+def _log_then_fail_first(log_path: str, x: int) -> int:
+    """Log ``x``; item 0 fails at once, the others take 0.3 s."""
+    with open(log_path, "a") as fh:
+        fh.write(f"{x}\n")
+    if x == 0:
+        raise ValueError("item 0 is broken")
+    time.sleep(0.3)
+    return x
+
+
 class TestMapTasks:
     def test_serial_preserves_order(self):
         assert runner_module.map_tasks(_double, [3, 1, 2], jobs=1) == [6, 2, 4]
@@ -349,13 +361,23 @@ class TestMapTasks:
             runner_module.map_tasks(_double, items, jobs=3)
         )
 
-    def test_exhausted_retries_raise_runner_error(self):
+    def test_serial_failure_raises_runner_error(self):
         with pytest.raises(RunnerError, match="permanent"):
             runner_module.map_tasks(_always_fails, [1], jobs=1)
 
     def test_parallel_failure_raises_runner_error(self):
         with pytest.raises(RunnerError, match="permanent"):
             runner_module.map_tasks(_always_fails, [1, 2], jobs=2)
+
+    def test_parallel_failure_cancels_queued_tasks(self, tmp_path):
+        log = tmp_path / "ran.log"
+        fn = functools.partial(_log_then_fail_first, str(log))
+        with pytest.raises(RunnerError, match=r"task 0 failed: item 0 is broken"):
+            runner_module.map_tasks(fn, list(range(8)), jobs=2)
+        ran = log.read_text().split()
+        assert "0" in ran
+        # Tasks still queued when item 0 failed never start.
+        assert len(ran) < 8
 
     def test_empty_items(self):
         assert runner_module.map_tasks(_double, [], jobs=4) == []
