@@ -5,8 +5,9 @@ These are the straightforward per-loop versions the optimised code in
 :mod:`repro.core.profiler` replaced: a per-stack scatter-add
 featurizer, a per-cluster-loop silhouette that recomputes its distance
 block for every evaluation, a Lloyd loop with no fixed-point early
-exit, a serial k-sweep that refits k-means for the chosen k, and the
-per-segment streaming unit cutter.  They are kept for two reasons:
+exit, a serial k-sweep that refits k-means for the chosen k, the
+per-segment streaming unit cutter, and a stratified sampler that masks
+the units once per phase and statistic.  They are kept for two reasons:
 
 * **parity** — the property tests assert the fast path produces
   bit-identical feature matrices and phase selections (and
@@ -24,6 +25,11 @@ import numpy as np
 
 from repro.core.clustering import KMeansResult, _kmeanspp_init, _pairwise_sq_dists
 from repro.core.profiler import ProfilerConfig
+from repro.core.sampling import (
+    StratifiedEstimate,
+    optimal_allocation,
+    stratified_standard_error,
+)
 from repro.core.units import JobProfile, SamplingUnit
 from repro.jvm.threads import TraceSegment
 
@@ -32,6 +38,7 @@ __all__ = [
     "reference_silhouette_score",
     "reference_kmeans",
     "reference_choose_k",
+    "reference_stratified_sample",
     "ReferenceUnitCutter",
 ]
 
@@ -357,3 +364,53 @@ def reference_choose_k(
             return k, scores, reference_kmeans(X, k, seed=seed)
     k = max(scores, key=scores.get)
     return k, scores, reference_kmeans(X, k, seed=seed)
+
+
+def reference_stratified_sample(
+    assignments: np.ndarray,
+    cpi: np.ndarray,
+    n: int,
+    *,
+    rng: np.random.Generator | None = None,
+    k: int | None = None,
+) -> StratifiedEstimate:
+    """Per-phase boolean masks for N_h, s_h and the members (three each)."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if len(assignments) != len(cpi):
+        raise ValueError("assignments and cpi disagree on unit count")
+    k = k if k is not None else int(assignments.max()) + 1
+    N_h = np.array(
+        [(assignments == h).sum() for h in range(k)], dtype=np.int64
+    )
+    s_h = np.array(
+        [
+            cpi[assignments == h].std(ddof=1) if N_h[h] > 1 else 0.0
+            for h in range(k)
+        ]
+    )
+    alloc = optimal_allocation(N_h, s_h, n)
+
+    selected: list[int] = []
+    means = np.zeros(k)
+    sample_stds = np.zeros(k)
+    for h in range(k):
+        if alloc[h] == 0:
+            continue
+        members = np.nonzero(assignments == h)[0]
+        chosen = rng.choice(members, size=int(alloc[h]), replace=False)
+        selected.extend(int(c) for c in chosen)
+        vals = cpi[chosen]
+        means[h] = vals.mean()
+        sample_stds[h] = vals.std(ddof=1) if len(vals) > 1 else 0.0
+
+    N = N_h.sum()
+    estimate = float((N_h / N) @ means)
+    se = stratified_standard_error(N_h, alloc, s_h)
+    return StratifiedEstimate(
+        selected=np.array(sorted(selected), dtype=np.int64),
+        allocation=alloc,
+        stratum_sizes=N_h,
+        estimate=estimate,
+        standard_error=se,
+    )

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy import special
 
 from repro.runtime.instrument import stage_timer
 
@@ -37,12 +36,24 @@ __all__ = [
 ]
 
 
+#: ``z_for_confidence`` of the levels the program uses: the exact
+#: floats ``scipy.special.ndtri(0.5 + c / 2)`` returns, so a warm run
+#: never imports scipy.  (``statistics.NormalDist.inv_cdf`` differs in
+#: the last ulp.)
+_Z_TABLE = {0.997: 2.9677379253417717}
+
+
 def z_for_confidence(confidence: float) -> float:
     """Two-sided normal z-score for a confidence level (0.997 → ≈3)."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
+    z = _Z_TABLE.get(confidence)
+    if z is not None:
+        return z
     # ndtri is the standard-normal quantile that ``scipy.stats.norm.ppf``
-    # evaluates, without importing ``scipy.stats`` at start-up.
+    # evaluates, without importing ``scipy.stats``.
+    from scipy import special
+
     return float(special.ndtri(0.5 + confidence / 2.0))
 
 
@@ -249,22 +260,23 @@ def stratified_sample(
 ) -> StratifiedEstimate:
     """Draw the SimProf sample: optimal allocation + per-phase SRS.
 
-    ``assignments`` maps units to phases; ``cpi`` is the profiled CPI of
-    every unit (used for the allocation σ_h and for the estimate of the
-    selected points — in a real deployment the selected points would be
-    *simulated* and their CPI measured there).
+    ``assignments`` maps units to phases ``0..k-1``; ``cpi`` is the
+    profiled CPI of every unit (used for the allocation σ_h and for the
+    estimate of the selected points — in a real deployment the selected
+    points would be *simulated* and their CPI measured there).
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if len(assignments) != len(cpi):
         raise ValueError("assignments and cpi disagree on unit count")
     k = k if k is not None else int(assignments.max()) + 1
-    N_h = np.array(
-        [(assignments == h).sum() for h in range(k)], dtype=np.int64
-    )
+    N_h = np.bincount(assignments, minlength=k)[:k].astype(np.int64)
+    # One stable sort groups the units, each phase's in ascending order.
+    order = np.argsort(assignments, kind="stable")
+    groups = np.split(order, np.cumsum(N_h))[:k]
     s_h = np.array(
         [
-            cpi[assignments == h].std(ddof=1) if N_h[h] > 1 else 0.0
+            cpi[groups[h]].std(ddof=1) if N_h[h] > 1 else 0.0
             for h in range(k)
         ]
     )
@@ -276,7 +288,7 @@ def stratified_sample(
     for h in range(k):
         if alloc[h] == 0:
             continue
-        members = np.nonzero(assignments == h)[0]
+        members = groups[h]
         chosen = rng.choice(members, size=int(alloc[h]), replace=False)
         selected.extend(int(c) for c in chosen)
         vals = cpi[chosen]

@@ -1,12 +1,15 @@
 """Extension experiment: stratified sampling accuracy under fault injection.
 
 The fault framework (:mod:`repro.faults`) claims that recovery is
-*semantically transparent*: task failures re-execute, stragglers and GC
-pauses only stretch the trace, and stream drop/duplicate/reorder are
-repaired by :class:`~repro.faults.stream.EventGuard` — so the job's
-*results* never change, while the profiled trace gains the extra work
-the recoveries cost.  This driver sweeps a uniform fault rate and
-checks, per rate:
+*semantically transparent*: task failures re-execute and stragglers and
+GC pauses only stretch the trace, so the job's *results* never change,
+while the profiled trace gains the extra work the recoveries cost.
+This driver profiles the batch trace of :func:`run_workload`, which
+injects only these cluster faults: the plan's stream drop, duplicate
+and reorder rates act on live event streams
+(:func:`~repro.faults.stream.inject_stream_faults`, repaired by
+:class:`~repro.faults.stream.EventGuard`) and have no effect here.
+It sweeps a uniform fault rate and checks, per rate:
 
 * the injected run still produces the same workload output (HDFS and
   shuffle byte counters match the fault-free run),
@@ -106,8 +109,10 @@ def run_fault_sweep(
 
     Each non-zero rate sets the task-failure, straggler, GC-pause,
     drop, duplicate and reorder probabilities simultaneously
-    (:meth:`FaultPlan.uniform`); the rate-0 row doubles as the baseline
-    whose output fingerprint every injected run must reproduce.
+    (:meth:`FaultPlan.uniform`).  The batch runs here inject only the
+    first three; the stream rates would act only on a streamed run.
+    The rate-0 row doubles as the baseline whose output fingerprint
+    every injected run must reproduce.
     """
     cfg = cfg or ExperimentConfig()
     tool = cfg.simprof_tool()

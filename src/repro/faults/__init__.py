@@ -31,31 +31,48 @@ Layers:
     the resumed result byte-equals an uninterrupted run.
 """
 
-from repro.faults.chaos import (
-    ChaosAttempt,
-    ChaosOutcome,
-    ChaosPlan,
-    kill_and_restore,
-)
-from repro.faults.inject import ClusterFaultInjector, TaskFaults, perturb_trace
-from repro.faults.plan import FAULTS_KEY, FaultPlan, site_rng
-from repro.faults.report import FaultEvent, FaultReport
-from repro.faults.stream import EventGuard, ReplayBuffer, inject_stream_faults
+import importlib
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "FAULTS_KEY",
-    "ChaosAttempt",
-    "ChaosOutcome",
-    "ChaosPlan",
-    "ClusterFaultInjector",
-    "EventGuard",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultReport",
-    "ReplayBuffer",
-    "TaskFaults",
-    "inject_stream_faults",
-    "kill_and_restore",
-    "perturb_trace",
-    "site_rng",
-]
+#: Public names and the modules that define them.  They load on first
+#: access (PEP 562), so importing one submodule does not load the rest.
+_EXPORTS = {
+    "ChaosAttempt": "repro.faults.chaos",
+    "ChaosOutcome": "repro.faults.chaos",
+    "ChaosPlan": "repro.faults.chaos",
+    "ClusterFaultInjector": "repro.faults.inject",
+    "EventGuard": "repro.faults.stream",
+    "FAULTS_KEY": "repro.faults.plan",
+    "FaultEvent": "repro.faults.report",
+    "FaultPlan": "repro.faults.plan",
+    "FaultReport": "repro.faults.report",
+    "ReplayBuffer": "repro.faults.stream",
+    "TaskFaults": "repro.faults.inject",
+    "inject_stream_faults": "repro.faults.stream",
+    "kill_and_restore": "repro.faults.chaos",
+    "perturb_trace": "repro.faults.inject",
+    "site_rng": "repro.faults.plan",
+}
+
+if TYPE_CHECKING:  # also the import edges that code fingerprints follow
+    from repro.faults.chaos import (
+        ChaosAttempt,
+        ChaosOutcome,
+        ChaosPlan,
+        kill_and_restore,
+    )
+    from repro.faults.inject import ClusterFaultInjector, TaskFaults, perturb_trace
+    from repro.faults.plan import FAULTS_KEY, FaultPlan, site_rng
+    from repro.faults.report import FaultEvent, FaultReport
+    from repro.faults.stream import EventGuard, ReplayBuffer, inject_stream_faults
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

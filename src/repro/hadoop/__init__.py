@@ -13,8 +13,31 @@ The paper's Hadoop tuning (bigger sort buffers, compressed map output)
 is the default configuration here as well.
 """
 
-from repro.hadoop.api import Context, Mapper, Reducer
-from repro.hadoop.job import HadoopJobConf
-from repro.hadoop.runtime import HadoopCluster
+import importlib
+from typing import TYPE_CHECKING
 
-__all__ = ["Context", "HadoopCluster", "HadoopJobConf", "Mapper", "Reducer"]
+#: Public names and the modules that define them.  They load on first
+#: access (PEP 562), so importing one submodule does not load the rest.
+_EXPORTS = {
+    "Context": "repro.hadoop.api",
+    "HadoopCluster": "repro.hadoop.runtime",
+    "HadoopJobConf": "repro.hadoop.job",
+    "Mapper": "repro.hadoop.api",
+    "Reducer": "repro.hadoop.api",
+}
+
+if TYPE_CHECKING:  # also the import edges that code fingerprints follow
+    from repro.hadoop.api import Context, Mapper, Reducer
+    from repro.hadoop.job import HadoopJobConf
+    from repro.hadoop.runtime import HadoopCluster
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -22,52 +22,69 @@ reproduce that bridge with a simulated JVM:
   and counters from inside the profiled JVM.
 """
 
-from repro.jvm.methods import CallStack, MethodRef, MethodRegistry, StackTable
-from repro.jvm.machine import (
-    AccessPattern,
-    HardwareModel,
-    MachineConfig,
-    OpKind,
-)
-from repro.jvm.threads import ThreadTrace, TraceBuilder, TraceSegment
-from repro.jvm.perf import CounterWindow, PerfCounterReader
-from repro.jvm.job import JobTrace, StageInfo
-from repro.jvm.segments import SEGMENT_DTYPE, segment_checksum
-from repro.jvm.stream import (
-    JobEnd,
-    SegmentBatch,
-    StageEvent,
-    StreamClosed,
-    ThreadStart,
-    TraceStream,
-    pump_events,
-    trace_to_stream,
-)
+import importlib
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AccessPattern",
-    "CallStack",
-    "CounterWindow",
-    "HardwareModel",
-    "JobEnd",
-    "JobTrace",
-    "MachineConfig",
-    "MethodRef",
-    "MethodRegistry",
-    "OpKind",
-    "PerfCounterReader",
-    "SEGMENT_DTYPE",
-    "SegmentBatch",
-    "StackTable",
-    "StageEvent",
-    "StageInfo",
-    "StreamClosed",
-    "ThreadStart",
-    "ThreadTrace",
-    "TraceBuilder",
-    "TraceSegment",
-    "TraceStream",
-    "pump_events",
-    "segment_checksum",
-    "trace_to_stream",
-]
+#: Public names and the modules that define them.  They load on first
+#: access (PEP 562), so importing one submodule does not load the rest.
+_EXPORTS = {
+    "AccessPattern": "repro.jvm.machine",
+    "CallStack": "repro.jvm.methods",
+    "CounterWindow": "repro.jvm.perf",
+    "HardwareModel": "repro.jvm.machine",
+    "JobEnd": "repro.jvm.stream",
+    "JobTrace": "repro.jvm.job",
+    "MachineConfig": "repro.jvm.machine",
+    "MethodRef": "repro.jvm.methods",
+    "MethodRegistry": "repro.jvm.methods",
+    "OpKind": "repro.jvm.machine",
+    "PerfCounterReader": "repro.jvm.perf",
+    "SEGMENT_DTYPE": "repro.jvm.segments",
+    "SegmentBatch": "repro.jvm.stream",
+    "StackTable": "repro.jvm.methods",
+    "StageEvent": "repro.jvm.stream",
+    "StageInfo": "repro.jvm.job",
+    "StreamClosed": "repro.jvm.stream",
+    "ThreadStart": "repro.jvm.stream",
+    "ThreadTrace": "repro.jvm.threads",
+    "TraceBuilder": "repro.jvm.threads",
+    "TraceSegment": "repro.jvm.threads",
+    "TraceStream": "repro.jvm.stream",
+    "pump_events": "repro.jvm.stream",
+    "segment_checksum": "repro.jvm.segments",
+    "trace_to_stream": "repro.jvm.stream",
+}
+
+if TYPE_CHECKING:  # also the import edges that code fingerprints follow
+    from repro.jvm.methods import CallStack, MethodRef, MethodRegistry, StackTable
+    from repro.jvm.machine import (
+        AccessPattern,
+        HardwareModel,
+        MachineConfig,
+        OpKind,
+    )
+    from repro.jvm.threads import ThreadTrace, TraceBuilder, TraceSegment
+    from repro.jvm.perf import CounterWindow, PerfCounterReader
+    from repro.jvm.job import JobTrace, StageInfo
+    from repro.jvm.segments import SEGMENT_DTYPE, segment_checksum
+    from repro.jvm.stream import (
+        JobEnd,
+        SegmentBatch,
+        StageEvent,
+        StreamClosed,
+        ThreadStart,
+        TraceStream,
+        pump_events,
+        trace_to_stream,
+    )
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

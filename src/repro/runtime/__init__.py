@@ -12,92 +12,103 @@ Three layers every experiment driver builds on:
   threaded through the core pipeline and surfaced in manifests and
   ``simprof stats``.
 
-The runner symbols are re-exported lazily (PEP 562): ``repro.core``
-imports the instrumentation hooks from here, and the runner imports
+Every symbol is re-exported lazily (PEP 562): ``repro.core`` imports
+the instrumentation hooks from here, and the runner imports
 ``repro.core`` back, so loading it eagerly at package-init time would
-create a cycle.
+create a cycle; and a warm report, which never checkpoints, does not
+load :mod:`repro.runtime.checkpoint`.
 """
 
-from repro.runtime.checkpoint import (
-    CHECKPOINT_KIND,
-    CheckpointManager,
-    CheckpointPolicy,
-    WorkerKilled,
-    checkpoint_job_key,
-    drive_session,
-)
-from repro.runtime.instrument import (
-    Instrumentation,
-    StageRecord,
-    StageStats,
-    get_instrumentation,
-    record_stage,
-    stage_timer,
-)
-from repro.runtime.snapshot import (
-    SNAPSHOT_VERSION,
-    Snapshotable,
-    SnapshotError,
-    decode_state,
-    encode_state,
-    restore_rng,
-    rng_state,
-    state_digest,
-)
-from repro.runtime.store import (
-    STORE_VERSION,
-    ArtifactManifest,
-    ArtifactStore,
-    CacheStats,
-    canonical_repr,
-    default_store,
-    reset_default_stores,
-    stable_hash,
-)
+import importlib
+from typing import TYPE_CHECKING
 
-_RUNNER_EXPORTS = (
-    "ExperimentRunner",
-    "RunSpec",
-    "RunnerError",
-    "resolve_jobs",
-)
+#: Public names and the modules that define them, loaded on first access.
+_EXPORTS = {
+    "ArtifactManifest": "repro.runtime.store",
+    "ArtifactStore": "repro.runtime.store",
+    "CHECKPOINT_KIND": "repro.runtime.checkpoint",
+    "CacheStats": "repro.runtime.store",
+    "CheckpointManager": "repro.runtime.checkpoint",
+    "CheckpointPolicy": "repro.runtime.checkpoint",
+    "ExperimentRunner": "repro.runtime.runner",
+    "Instrumentation": "repro.runtime.instrument",
+    "RunSpec": "repro.runtime.runner",
+    "RunnerError": "repro.runtime.runner",
+    "SNAPSHOT_VERSION": "repro.runtime.snapshot",
+    "STORE_VERSION": "repro.runtime.store",
+    "SnapshotError": "repro.runtime.snapshot",
+    "Snapshotable": "repro.runtime.snapshot",
+    "StageRecord": "repro.runtime.instrument",
+    "StageStats": "repro.runtime.instrument",
+    "WorkerKilled": "repro.runtime.checkpoint",
+    "canonical_repr": "repro.runtime.store",
+    "checkpoint_job_key": "repro.runtime.checkpoint",
+    "decode_state": "repro.runtime.snapshot",
+    "default_store": "repro.runtime.store",
+    "drive_session": "repro.runtime.checkpoint",
+    "encode_state": "repro.runtime.snapshot",
+    "get_instrumentation": "repro.runtime.instrument",
+    "record_stage": "repro.runtime.instrument",
+    "reset_default_stores": "repro.runtime.store",
+    "resolve_jobs": "repro.runtime.runner",
+    "restore_rng": "repro.runtime.snapshot",
+    "rng_state": "repro.runtime.snapshot",
+    "stable_hash": "repro.runtime.store",
+    "stage_timer": "repro.runtime.instrument",
+    "state_digest": "repro.runtime.snapshot",
+}
 
-__all__ = [
-    "CHECKPOINT_KIND",
-    "SNAPSHOT_VERSION",
-    "STORE_VERSION",
-    "ArtifactManifest",
-    "ArtifactStore",
-    "CacheStats",
-    "CheckpointManager",
-    "CheckpointPolicy",
-    "Instrumentation",
-    "Snapshotable",
-    "SnapshotError",
-    "StageRecord",
-    "StageStats",
-    "WorkerKilled",
-    "canonical_repr",
-    "checkpoint_job_key",
-    "decode_state",
-    "default_store",
-    "drive_session",
-    "encode_state",
-    "get_instrumentation",
-    "record_stage",
-    "reset_default_stores",
-    "restore_rng",
-    "rng_state",
-    "stable_hash",
-    "stage_timer",
-    "state_digest",
-    *_RUNNER_EXPORTS,
-]
+if TYPE_CHECKING:
+    from repro.runtime.checkpoint import (
+        CHECKPOINT_KIND,
+        CheckpointManager,
+        CheckpointPolicy,
+        WorkerKilled,
+        checkpoint_job_key,
+        drive_session,
+    )
+    from repro.runtime.instrument import (
+        Instrumentation,
+        StageRecord,
+        StageStats,
+        get_instrumentation,
+        record_stage,
+        stage_timer,
+    )
+    from repro.runtime.snapshot import (
+        SNAPSHOT_VERSION,
+        Snapshotable,
+        SnapshotError,
+        decode_state,
+        encode_state,
+        restore_rng,
+        rng_state,
+        state_digest,
+    )
+    from repro.runtime.store import (
+        STORE_VERSION,
+        ArtifactManifest,
+        ArtifactStore,
+        CacheStats,
+        canonical_repr,
+        default_store,
+        reset_default_stores,
+        stable_hash,
+    )
+    from repro.runtime.runner import (
+        ExperimentRunner,
+        RunnerError,
+        RunSpec,
+        resolve_jobs,
+    )
+
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    if name in _RUNNER_EXPORTS:
-        from repro.runtime import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -11,8 +11,31 @@ Executors really compute on the data while emitting hardware trace
 segments through :mod:`repro.jvm`.
 """
 
-from repro.spark.context import SparkConfig, SparkContext
-from repro.spark.ops import CustomOp, Operation
-from repro.spark.rdd import RDD
+import importlib
+from typing import TYPE_CHECKING
 
-__all__ = ["CustomOp", "Operation", "RDD", "SparkConfig", "SparkContext"]
+#: Public names and the modules that define them.  They load on first
+#: access (PEP 562), so importing one submodule does not load the rest.
+_EXPORTS = {
+    "CustomOp": "repro.spark.ops",
+    "Operation": "repro.spark.ops",
+    "RDD": "repro.spark.rdd",
+    "SparkConfig": "repro.spark.context",
+    "SparkContext": "repro.spark.context",
+}
+
+if TYPE_CHECKING:  # also the import edges that code fingerprints follow
+    from repro.spark.context import SparkConfig, SparkContext
+    from repro.spark.ops import CustomOp, Operation
+    from repro.spark.rdd import RDD
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.datagen.seeds import GraphInput
-from repro.hadoop.runtime import HadoopCluster
 from repro.jvm.job import JobTrace
-from repro.spark.context import SparkContext
+
+if TYPE_CHECKING:
+    from repro.hadoop.runtime import HadoopCluster
+    from repro.spark.context import SparkContext
 
 __all__ = ["WorkloadInput", "Workload"]
 
@@ -126,6 +128,9 @@ class Workload(abc.ABC):
         GC pauses) deterministically.  ``None`` or a null plan leaves
         the run byte-identical to before.
         """
+        from repro.hadoop.runtime import HadoopCluster
+        from repro.spark.context import SparkContext
+
         if framework == "spark":
             ctx = SparkContext(self._spark_config(inp, spark_config), faults=faults)
             meta = self.prepare_input(ctx.fs, inp)
@@ -166,6 +171,9 @@ class Workload(abc.ABC):
         additionally wrapped with the plan's drop/duplicate/reorder
         faults (plus the replay buffer consumers repair from).
         """
+        from repro.hadoop.runtime import HadoopCluster
+        from repro.spark.context import SparkContext
+
         if framework == "spark":
             ctx = SparkContext(self._spark_config(inp, spark_config), faults=faults)
             meta = self.prepare_input(ctx.fs, inp)

@@ -10,15 +10,17 @@ second, smaller prior job.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.datagen.text import TextSpec, synthesize_labeled_text
 from repro.hadoop.api import Context, Mapper, Reducer
 from repro.hadoop.job import HadoopJobConf
-from repro.hadoop.runtime import HadoopCluster
-from repro.spark.context import SparkContext
 from repro.workloads.base import Workload, WorkloadInput
 from repro.workloads.wordcount import IntSumReducer
+
+if TYPE_CHECKING:
+    from repro.hadoop.runtime import HadoopCluster
+    from repro.spark.context import SparkContext
 
 __all__ = ["NaiveBayes", "FeatureCountMapper", "PriorCountMapper"]
 

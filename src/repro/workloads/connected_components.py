@@ -15,14 +15,12 @@ the minimum, and the updated adjacency file feeds the next job.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.hadoop.api import Context, Mapper, Reducer
 from repro.hadoop.job import HadoopJobConf
-from repro.hadoop.runtime import HadoopCluster
-from repro.spark.context import SparkContext
 from repro.workloads.base import Workload, WorkloadInput
 from repro.workloads.graph_common import (
     HADOOP_SCALE_DELTA,
@@ -33,6 +31,10 @@ from repro.workloads.graph_common import (
     symmetrize,
 )
 from repro.workloads.graphx import GraphXGraph, pregel_step
+
+if TYPE_CHECKING:
+    from repro.hadoop.runtime import HadoopCluster
+    from repro.spark.context import SparkContext
 
 __all__ = ["ConnectedComponents", "CCMapper", "CCReducer"]
 

@@ -21,15 +21,17 @@ working-set sizes that drive CPI all depend on the input topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.hdfs.filesystem import estimate_record_bytes
 from repro.jvm.machine import AccessPattern, OpKind
-from repro.spark.context import SparkContext
 from repro.spark.ops import CustomOp
-from repro.spark.rdd import RDD
+
+if TYPE_CHECKING:
+    from repro.spark.context import SparkContext
+    from repro.spark.rdd import RDD
 
 __all__ = ["EdgeChunk", "GraphXGraph", "pregel_step"]
 

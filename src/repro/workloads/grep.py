@@ -8,14 +8,16 @@ data dependent (match early-out vs full scan).
 from __future__ import annotations
 
 import re
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.datagen.text import TextSpec, synthesize_text
 from repro.hadoop.api import Context, Mapper
 from repro.hadoop.job import HadoopJobConf
-from repro.hadoop.runtime import HadoopCluster
-from repro.spark.context import SparkContext
 from repro.workloads.base import Workload, WorkloadInput
+
+if TYPE_CHECKING:
+    from repro.hadoop.runtime import HadoopCluster
+    from repro.spark.context import SparkContext
 
 __all__ = ["Grep", "GrepMapper", "DEFAULT_PATTERN"]
 

@@ -8,14 +8,16 @@ which is why the paper's sort_hp phase mix is dominated by sort and IO.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.datagen.text import TextSpec, synthesize_text
 from repro.hadoop.api import Context, Mapper, Reducer
 from repro.hadoop.job import HadoopJobConf
-from repro.hadoop.runtime import HadoopCluster
-from repro.spark.context import SparkContext
 from repro.workloads.base import Workload, WorkloadInput
+
+if TYPE_CHECKING:
+    from repro.hadoop.runtime import HadoopCluster
+    from repro.spark.context import SparkContext
 
 __all__ = ["Sort", "SortKeyMapper", "IdentityReducer"]
 

@@ -12,14 +12,16 @@ Figure 15 phases: map, combine, sort.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.datagen.text import TextSpec, synthesize_text
 from repro.hadoop.api import Context, Mapper, Reducer
 from repro.hadoop.job import HadoopJobConf
-from repro.hadoop.runtime import HadoopCluster
-from repro.spark.context import SparkContext
 from repro.workloads.base import Workload, WorkloadInput
+
+if TYPE_CHECKING:
+    from repro.hadoop.runtime import HadoopCluster
+    from repro.spark.context import SparkContext
 
 __all__ = ["WordCount", "TokenizerMapper", "IntSumReducer"]
 

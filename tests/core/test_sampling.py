@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.core._reference import reference_stratified_sample
 from repro.core.sampling import (
     optimal_allocation,
     required_sample_size,
@@ -288,6 +289,59 @@ class TestStratifiedSample:
     def test_mismatched_inputs_raise(self):
         with pytest.raises(ValueError):
             stratified_sample(np.zeros(5, dtype=int), np.ones(4), 2)
+
+
+@st.composite
+def phase_samples(draw):
+    """``(assignments, cpi, n, k)``: some phases empty, some of one unit."""
+    k = draw(st.integers(1, 6))
+    sizes = draw(
+        st.lists(st.sampled_from([0, 0, 1, 1, 2, 3, 7, 20]), min_size=k, max_size=k)
+    )
+    assume(sum(sizes) > 0)
+    labels = [h for h, size in enumerate(sizes) for _ in range(size)]
+    assignments = np.array(draw(st.permutations(labels)), dtype=np.int64)
+    cpi = np.array(
+        draw(
+            st.lists(
+                st.floats(0.1, 10.0, allow_nan=False),
+                min_size=len(labels),
+                max_size=len(labels),
+            )
+        )
+    )
+    nonempty = sum(1 for size in sizes if size)
+    n = draw(st.one_of(st.just(len(labels)), st.integers(nonempty, len(labels))))
+    # ``k`` past the largest label leaves trailing phases empty.
+    return assignments, cpi, n, draw(st.sampled_from([None, k]))
+
+
+class TestStratifiedSampleGrouping:
+    """The sort-once grouping draws the mask implementation's sample."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(phase_samples(), st.integers(0, 2**32 - 1))
+    def test_matches_mask_reference(self, sample, seed):
+        assignments, cpi, n, k = sample
+        rng_ref = np.random.default_rng(seed)
+        rng_got = np.random.default_rng(seed)
+        ref = reference_stratified_sample(assignments, cpi, n, rng=rng_ref, k=k)
+        got = stratified_sample(assignments, cpi, n, rng=rng_got, k=k)
+        np.testing.assert_array_equal(got.selected, ref.selected)
+        np.testing.assert_array_equal(got.allocation, ref.allocation)
+        np.testing.assert_array_equal(got.stratum_sizes, ref.stratum_sizes)
+        assert got.stratum_sizes.dtype == ref.stratum_sizes.dtype
+        assert got.estimate == ref.estimate
+        assert got.standard_error == ref.standard_error
+        assert rng_got.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_census_selects_every_unit(self):
+        assignments = np.array([2, 0, 2, 1, 0, 2], dtype=np.int64)
+        cpi = np.arange(1.0, 7.0)
+        est = stratified_sample(assignments, cpi, 6, rng=np.random.default_rng(3))
+        np.testing.assert_array_equal(est.selected, np.arange(6))
+        np.testing.assert_array_equal(est.stratum_sizes, [2, 1, 3])
+        assert est.standard_error == 0.0
 
 
 class TestRequiredSampleSize:

@@ -396,6 +396,19 @@ class TestCodeIndex:
         assert CodeIndex.included("repro.core.phases")
         assert idx.closure(["repro.runtime.orch"]) == {}
 
+    def test_deferred_imports_stay_in_closures(self):
+        """Imports under ``if TYPE_CHECKING:``, in function bodies or in
+        a lazy package init still put their modules in the closure."""
+        idx = CodeIndex(src_root=_REPO / "src")
+        workload = set(idx.closure(["repro.workloads.wordcount"]))
+        assert {
+            "repro.spark.context",
+            "repro.spark.executor",
+            "repro.hadoop.runtime",
+        } <= workload
+        core = set(idx.closure(["repro.core"]))
+        assert {"repro.core.baselines", "repro.core.pipeline", "repro.core.sampling"} <= core
+
     def test_fingerprint_tracks_leaf_edit(self, tmp_path):
         before, mods = CodeIndex(src_root=_fake_tree(tmp_path)).fingerprint(
             ["repro.mid"]

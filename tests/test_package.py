@@ -1,7 +1,9 @@
-"""The ``repro`` package init: public names load on first access."""
+"""The package inits: public names load on first access."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -46,3 +48,46 @@ def test_public_names_resolve():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         repro.nope
+
+
+#: Subpackages whose inits re-export lazily through ``_EXPORTS``.
+LAZY_PACKAGES = (
+    "repro.core",
+    "repro.datagen",
+    "repro.faults",
+    "repro.hadoop",
+    "repro.jvm",
+    "repro.runtime",
+    "repro.spark",
+)
+
+
+def _type_checking_imports(package: str) -> dict[str, str]:
+    """``name -> module`` imported under the init's ``if TYPE_CHECKING:``."""
+    path = SRC.joinpath(*package.split("."), "__init__.py")
+    tree = ast.parse(path.read_text())
+    found: dict[str, str] = {}
+    for node in tree.body:
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            for stmt in node.body:
+                assert isinstance(stmt, ast.ImportFrom), ast.dump(stmt)
+                for alias in stmt.names:
+                    found[alias.asname or alias.name] = stmt.module
+    return found
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_package_exports_resolve(package):
+    module = importlib.import_module(package)
+    for name, source in module._EXPORTS.items():
+        assert getattr(module, name) is getattr(importlib.import_module(source), name)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        module.nope
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_package_imports_stay_visible(package):
+    """The ``TYPE_CHECKING`` imports mirror ``_EXPORTS``: code fingerprints
+    follow import statements, so the package keeps its import edges."""
+    module = importlib.import_module(package)
+    assert _type_checking_imports(package) == module._EXPORTS
