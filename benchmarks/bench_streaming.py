@@ -49,7 +49,6 @@ from repro.jvm.stream import (
     SegmentBatch,
     ThreadStart,
     TraceStream,
-    sequenced_batch,
 )
 from repro.jvm.threads import OP_KIND_CODES
 from repro.runtime.store import default_store
@@ -129,9 +128,9 @@ def make_stream(
 
     def events() -> Iterator:
         yield ThreadStart(1, 0, 0)
-        for seq, start in enumerate(range(0, n_segments, rows_per_batch)):
+        for start in range(0, n_segments, rows_per_batch):
             n = min(rows_per_batch, n_segments - start)
-            yield sequenced_batch(1, _batch_rows(start, n, stacks), seq)
+            yield SegmentBatch(1, _batch_rows(start, n, stacks))
         yield JobEnd({})
 
     return TraceStream(

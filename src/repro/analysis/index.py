@@ -448,7 +448,7 @@ class ProjectIndex:
         mi = self.modules.get(module)
         if mi is not None and name in mi.classes:
             return mi, mi.classes[name]
-        # Re-exports: ``repro.faults.EventGuard`` defined in a submodule.
+        # Re-exports: ``repro.faults.FaultPlan`` defined in a submodule.
         for mi in self.modules.values():
             if dotted == f"{mi.module}.{name}" and name in mi.classes:
                 return mi, mi.classes[name]

@@ -10,9 +10,9 @@ regression only a profiler would catch.  This rule catches it
 statically instead.
 
 Flagged, inside the trace-plane modules only (``repro.jvm.segments``,
-``repro.jvm.stream``, ``repro.core.profiler``, ``repro.core.features``,
-``repro.faults.stream``; ``_reference``
-modules are the sanctioned object-path museum and stay exempt):
+``repro.jvm.stream``, ``repro.core.profiler``, ``repro.core.features``;
+``_reference`` modules are the sanctioned object-path museum and stay
+exempt):
 
 * iteration (``for`` statements and comprehensions) whose iterable is
   a packed-array expression: a ``.data`` batch payload, a call to one
@@ -48,7 +48,6 @@ _SCOPE_MODULES = frozenset(
         "repro.jvm.stream",
         "repro.core.profiler",
         "repro.core.features",
-        "repro.faults.stream",
     }
 )
 

@@ -1,9 +1,9 @@
 """SPA012: shared-resource lifecycle.
 
-``delete=False`` temp files (the store's write-then-rename), replay
-buffers and shared-memory blocks outlive the Python objects that wrap
-them: a path that leaves the function without closing/unlinking the
-handle leaks an on-disk file, a pinned payload or a kernel object.
+``delete=False`` temp files (the store's write-then-rename) and
+shared-memory blocks outlive the Python objects that wrap them: a path
+that leaves the function without closing/unlinking the handle leaks an
+on-disk file or a kernel object.
 The leak almost always hides on *exception* paths — the happy path
 renames the file, but an error between acquisition and release
 unwinds past the cleanup (the chaos harness finds these dynamically
@@ -14,9 +14,8 @@ against the function's CFG (:mod:`repro.analysis.cfg`, with exception
 edges): the acquisition node must not reach the normal exit or the
 raise sink without passing a *release* or an *escape* of the resource.
 
-* acquisitions — ``multiprocessing.shared_memory.SharedMemory(...)``,
-  ``tempfile.NamedTemporaryFile(...)`` / ``tempfile.mkstemp(...)``,
-  and (in ``repro.*`` product code only) ``ReplayBuffer(...)``;
+* acquisitions — ``multiprocessing.shared_memory.SharedMemory(...)``
+  and ``tempfile.NamedTemporaryFile(...)`` / ``tempfile.mkstemp(...)``;
 * releases — ``name.close()/.unlink()/.release()/.clear()``, or
   ``os.replace/os.unlink/os.remove`` applied to ``name``/``name.name``;
 * escapes (ownership transfer ends local responsibility) — returning
@@ -27,12 +26,6 @@ raise sink without passing a *release* or an *escape* of the resource.
 
 ``with <acquisition>() as name:`` is exempt — the context manager owns
 the lifecycle.
-
-Exception paths are only required to release *kernel-backed* resources
-(shared memory, ``delete=False`` temp files): those outlive the
-process.  A replay buffer is a pure-Python pin — if an error unwinds
-before it escapes, the garbage collector drops it (still empty) along
-with anything it pinned — so it is only checked on normal paths.
 """
 
 from __future__ import annotations
@@ -51,10 +44,6 @@ from repro.analysis.project import (
 )
 
 _RELEASE_METHODS = frozenset({"close", "unlink", "release", "clear", "terminate"})
-#: Kinds the garbage collector reclaims on its own — an exception that
-#: unwinds before the escape drops them harmlessly, so only normal
-#: paths must release or transfer them.
-_GC_SAFE_KINDS = frozenset({"replay buffer"})
 _OS_RELEASES = frozenset({"unlink", "remove", "replace"})
 _TMP_CALLS = frozenset({"NamedTemporaryFile", "mkstemp"})
 
@@ -75,9 +64,6 @@ def _acquisition_kind(ctx: ModuleContext, node: ast.AST) -> str | None:
                 and kw.value.value is False
             ):
                 return "delete=False temp file"
-        return None
-    if leaf == "ReplayBuffer" and ctx.module.startswith("repro."):
-        return "replay buffer"
     return None
 
 
@@ -201,9 +187,7 @@ class SharedResourceLifecycle(ProjectRule):
                 )
             }
             leak_normal = cfg.reaches_without(start, handled, cfg.exit_id)
-            leak_raise = kind not in _GC_SAFE_KINDS and cfg.reaches_without(
-                start, handled, cfg.raise_id
-            )
+            leak_raise = cfg.reaches_without(start, handled, cfg.raise_id)
             if not (leak_normal or leak_raise):
                 continue
             if leak_normal:

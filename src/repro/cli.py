@@ -141,8 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--snapshot-period", type=_COUNT, default=2_000_000)
     prof.add_argument("--faults", default=None, metavar="PLAN",
                       help="JSON fault plan (repro.faults.FaultPlan): "
-                      "inject deterministic cluster faults — and stream "
-                      "faults with --stream — then report the recoveries")
+                      "inject deterministic cluster faults (the same ones "
+                      "with or without --stream), then report the "
+                      "recoveries")
     prof.add_argument("--checkpoint-every", type=_COUNT, default=None,
                       metavar="N",
                       help="with --stream: persist a resumable snapshot "

@@ -33,7 +33,7 @@ units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
     "SimProfProfiler",
     "StreamingProfiler",
     "profile_trace",
+    "select_thread",
 ]
 
 
@@ -96,6 +97,42 @@ class ProfilerConfig:
             raise ValueError("snapshot_jitter must be in [0, 1)")
 
 
+def _require_one_unit(thread_id: int, total: int, unit_size: int) -> None:
+    """Reject a thread too short to complete a single sampling unit.
+
+    The cutter completes a unit exactly when ``total >= unit_size``
+    (the trailing partial unit is dropped), so this is the "no units"
+    condition, checked before any cutting.
+    """
+    if total < unit_size:
+        raise ValueError(
+            f"thread {thread_id} retired {total} instructions, "
+            f"fewer than one sampling unit ({unit_size})"
+        )
+
+
+def select_thread(totals: Mapping[int, int], config: ProfilerConfig) -> int:
+    """The id of the thread SimProf profiles, for batch and stream alike.
+
+    ``totals`` maps each thread id to the instructions it retired, in
+    ``ThreadStart`` (trace) order.  ``config.thread_id`` names the
+    thread when set (``KeyError`` if the job has no such thread);
+    otherwise the busiest thread is chosen — the paper samples one
+    executor thread, and the busiest covers every stage — with the
+    first thread winning ties.  A thread that retired fewer than
+    ``config.unit_size`` instructions raises ``ValueError``.
+    """
+    selected = config.thread_id
+    if selected is None:
+        if not totals:
+            raise ValueError("job trace has no threads")
+        selected = max(totals, key=totals.__getitem__)
+    elif selected not in totals:
+        raise KeyError(f"no thread {selected} in job trace")
+    _require_one_unit(selected, totals[selected], config.unit_size)
+    return selected
+
+
 class SimProfProfiler:
     """Builds :class:`JobProfile` objects from job traces."""
 
@@ -105,13 +142,9 @@ class SimProfProfiler:
     def profile_thread(self, trace: ThreadTrace) -> ThreadProfile:
         """Profile one executor thread into sampling units."""
         cfg = self.config
+        _require_one_unit(trace.thread_id, trace.total_instructions, cfg.unit_size)
         cutter = _UnitCutter(trace.thread_id, cfg)
         units = cutter.feed_array(trace.to_structured()) + cutter.flush()
-        if not units:
-            raise ValueError(
-                f"thread {trace.thread_id} retired {cutter.total} instructions, "
-                f"fewer than one sampling unit ({cfg.unit_size})"
-            )
         return ThreadProfile(
             thread_id=trace.thread_id,
             unit_size=cfg.unit_size,
@@ -121,10 +154,10 @@ class SimProfProfiler:
 
     def profile(self, job: JobTrace) -> JobProfile:
         """Profile the configured (default: busiest) executor thread."""
-        if self.config.thread_id is not None:
-            trace = job.thread(self.config.thread_id)
-        else:
-            trace = job.longest_thread()
+        totals: dict[int, int] = {}
+        for t in job.traces:
+            totals.setdefault(t.thread_id, t.total_instructions)
+        trace = job.thread(select_thread(totals, self.config))
         return JobProfile(
             workload=job.workload,
             framework=job.framework,
@@ -528,15 +561,14 @@ def _unit_from_state(state: dict) -> SamplingUnit:
 class ProfilerSession:
     """Push-mode streaming profiler: feed events, harvest units.
 
-    Owns the per-thread :class:`_UnitCutter` fleet, the
-    :class:`~repro.faults.stream.EventGuard` in front of them, and the
+    Owns the per-thread :class:`_UnitCutter` fleet and the
     stage/meta/totals bookkeeping (:class:`_StreamSink`).  Where
     :meth:`StreamingProfiler.units` pulls from a stream, a session is
     *fed* one event at a time — which is what makes the pipeline
     suspendable: between any two ``feed`` calls, :meth:`snapshot`
-    captures the complete mutable state (sequence numbers, cutter
-    carries, PCG64 positions, collected units) and :meth:`restore` on a
-    fresh session resumes bit-identically.
+    captures the complete mutable state (cutter carries, PCG64
+    positions, collected units) and :meth:`restore` on a fresh session
+    resumes bit-identically.
 
     ``collect=True`` retains emitted units per thread so
     :meth:`result` can assemble a :class:`JobProfile` (the
@@ -552,14 +584,10 @@ class ProfilerSession:
         sink: "_StreamSink | None" = None,
         collect: bool = False,
     ) -> None:
-        # Local import: repro.faults.stream depends on repro.jvm.stream.
-        from repro.faults.stream import EventGuard
-
         self.config = config
         self.stream = stream
         self.sink = sink if sink is not None else _StreamSink()
         self.collect = collect
-        self.guard = EventGuard(stream)
         self.batches_fed = 0
         self._cutters: dict[int, _UnitCutter] = {}
         self._seen: set[int] = set()
@@ -569,18 +597,10 @@ class ProfilerSession:
     # -- event pump --------------------------------------------------
 
     def feed(self, event: TraceEvent) -> list[tuple[int, SamplingUnit]]:
-        """Feed one raw stream event; returns the units it completed."""
+        """Feed one stream event; returns the units it completed."""
+        emitted: list[tuple[int, SamplingUnit]] = []
         if isinstance(event, SegmentBatch):
             self.batches_fed += 1
-        emitted: list[tuple[int, SamplingUnit]] = []
-        for guarded in self.guard.admit_event(event):
-            self._route(guarded, emitted)
-        return emitted
-
-    def _route(
-        self, event: TraceEvent, emitted: list[tuple[int, SamplingUnit]]
-    ) -> None:
-        if isinstance(event, SegmentBatch):
             cutter = self._cutters.get(event.thread_id)
             if cutter is None:
                 if event.thread_id not in self._seen:
@@ -588,7 +608,7 @@ class ProfilerSession:
                         f"segment batch for unknown thread {event.thread_id} "
                         "(no ThreadStart seen)"
                     )
-                return  # thread deliberately not cut
+                return emitted  # thread deliberately not cut
             tid = event.thread_id
             units = cutter.feed_array(event.data)
             if units:
@@ -606,18 +626,14 @@ class ProfilerSession:
             self.sink.stages.append(event.info)
         elif isinstance(event, JobEnd):
             self.sink.meta.update(event.meta)
+        return emitted
 
     def finish(self) -> list[tuple[int, SamplingUnit]]:
-        """End of stream: flush the guard and every cutter, seal the sink."""
-        # Local import mirrors feed(): faults layers on top of jvm.
-        from repro.faults.report import FaultReport
-
+        """End of stream: flush every cutter and seal the sink."""
         if self._finished:
             return []
         self._finished = True
         emitted: list[tuple[int, SamplingUnit]] = []
-        for guarded in self.guard.finish():
-            self._route(guarded, emitted)
         for tid, cutter in self._cutters.items():
             units = cutter.flush()
             if units:
@@ -625,8 +641,6 @@ class ProfilerSession:
                     self._units.setdefault(tid, []).extend(units)
                 emitted.extend((tid, unit) for unit in units)
             self.sink.totals[tid] = cutter.total
-        self.sink.seen = self._seen
-        FaultReport.merged_meta(self.sink.meta, self.guard.report)
         return emitted
 
     # -- result assembly ---------------------------------------------
@@ -634,34 +648,15 @@ class ProfilerSession:
     def result(self) -> JobProfile:
         """Assemble the :class:`JobProfile` (after :meth:`finish`).
 
-        Thread selection matches the batch path: ``config.thread_id``
-        if set (``KeyError`` when the stream never started it),
-        otherwise the thread that retired the most instructions, first
-        ThreadStart winning ties.
+        The profiled thread is the one :func:`select_thread` picks from
+        the cut threads' totals (kept in ThreadStart order), exactly as
+        on the batch path.
         """
         if not self._finished:
             raise ValueError("session is still streaming; call finish() first")
         cfg = self.config
         sink = self.sink
-        if cfg.thread_id is not None:
-            if cfg.thread_id not in sink.seen:
-                raise KeyError(f"no thread {cfg.thread_id} in job trace")
-            selected = cfg.thread_id
-        else:
-            if not sink.totals:
-                raise ValueError("job trace has no threads")
-            selected = None
-            best = -1
-            for tid, total in sink.totals.items():  # ThreadStart order
-                if total > best:
-                    best = total
-                    selected = tid
-        total = sink.totals.get(selected, 0)
-        if total // cfg.unit_size == 0:
-            raise ValueError(
-                f"thread {selected} retired {total} instructions, "
-                f"fewer than one sampling unit ({cfg.unit_size})"
-            )
+        selected = select_thread(sink.totals, cfg)
         stream = self.stream
         return JobProfile(
             workload=stream.workload,
@@ -694,7 +689,6 @@ class ProfilerSession:
             "cutters": [
                 [tid, cutter.snapshot()] for tid, cutter in self._cutters.items()
             ],
-            "guard": self.guard.snapshot(),
             "sink": self.sink.snapshot(),
             "units": [
                 [tid, [_unit_state(unit) for unit in units]]
@@ -717,7 +711,6 @@ class ProfilerSession:
             cutter = _UnitCutter(int(tid), self.config)
             cutter.restore(cutter_state)
             self._cutters[int(tid)] = cutter
-        self.guard.restore(state["guard"])
         self.sink.restore(state["sink"])
         self._units = {
             int(tid): [_unit_from_state(u) for u in units]
@@ -756,12 +749,6 @@ class StreamingProfiler:
         additionally collect stage/meta/total bookkeeping (used by
         :meth:`consume`; plain callers can ignore it).
 
-        Events are routed through the
-        :class:`~repro.faults.stream.EventGuard`, which restores
-        per-thread batch order, dedupes duplicates, and repairs or
-        degrades on gaps/corruption; anomalies are appended to the
-        sink's ``meta["fault_report"]``.  Clean streams pass through
-        with identical output.
         """
         session = ProfilerSession(self.config, stream, sink=sink, collect=False)
         for event in stream:
@@ -779,10 +766,8 @@ class StreamingProfiler:
     ) -> JobProfile:
         """Drive the stream to completion and build a :class:`JobProfile`.
 
-        Thread selection matches the batch path: ``config.thread_id``
-        if set (``KeyError`` when the stream never started it),
-        otherwise the thread that retired the most instructions, first
-        ThreadStart winning ties.  ``meter`` ticks once per emitted
+        Thread selection matches the batch path (:func:`select_thread`).
+        ``meter`` ticks once per emitted
         unit so streaming throughput lands in the instrumentation
         counters.
 
@@ -817,13 +802,12 @@ class StreamingProfiler:
 class _StreamSink:
     """Side-channel bookkeeping collected while a stream is consumed."""
 
-    __slots__ = ("stages", "meta", "totals", "seen")
+    __slots__ = ("stages", "meta", "totals")
 
     def __init__(self) -> None:
         self.stages: list[StageInfo] = []
         self.meta: dict[str, Any] = {}
         self.totals: dict[int, int] = {}
-        self.seen: set[int] = set()
 
     # -- snapshot protocol -------------------------------------------
 
@@ -833,7 +817,6 @@ class _StreamSink:
             "stages": [[s.stage_id, s.name, s.n_tasks] for s in self.stages],
             "meta": self.meta,
             "totals": [[tid, total] for tid, total in self.totals.items()],
-            "seen": sorted(self.seen),
         }
 
     def restore(self, state: dict) -> None:
@@ -845,4 +828,3 @@ class _StreamSink:
         ]
         self.meta = dict(state["meta"])
         self.totals = {int(tid): int(total) for tid, total in state["totals"]}
-        self.seen = {int(tid) for tid in state["seen"]}

@@ -4,12 +4,9 @@ The fault framework (:mod:`repro.faults`) claims that recovery is
 *semantically transparent*: task failures re-execute and stragglers and
 GC pauses only stretch the trace, so the job's *results* never change,
 while the profiled trace gains the extra work the recoveries cost.
-This driver profiles the batch trace of :func:`run_workload`, which
-injects only these cluster faults: the plan's stream drop, duplicate
-and reorder rates act on live event streams
-(:func:`~repro.faults.stream.inject_stream_faults`, repaired by
-:class:`~repro.faults.stream.EventGuard`) and have no effect here.
-It sweeps a uniform fault rate and checks, per rate:
+This driver profiles the batch trace of :func:`run_workload` with those
+cluster faults injected.  It sweeps a uniform fault rate and checks,
+per rate:
 
 * the injected run still produces the same workload output (HDFS and
   shuffle byte counters match the fault-free run),
@@ -107,11 +104,9 @@ def run_fault_sweep(
 ) -> FaultSweepResult:
     """Sweep a uniform fault rate and score accuracy + transparency.
 
-    Each non-zero rate sets the task-failure, straggler, GC-pause,
-    drop, duplicate and reorder probabilities simultaneously
-    (:meth:`FaultPlan.uniform`).  The batch runs here inject only the
-    first three; the stream rates would act only on a streamed run.
-    The rate-0 row doubles as the baseline whose output fingerprint
+    Each non-zero rate sets the task-failure, straggler and GC-pause
+    probabilities simultaneously (:meth:`FaultPlan.uniform`).  The
+    rate-0 row doubles as the baseline whose output fingerprint
     every injected run must reproduce.
     """
     cfg = cfg or ExperimentConfig()

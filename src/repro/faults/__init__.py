@@ -2,8 +2,7 @@
 
 The fault model mirrors what SimProf would face on a real cluster:
 executors straggle, tasks fail and are re-executed, GC pauses land in
-the middle of a phase, hardware counters glitch, and the profiling
-stream itself drops, duplicates, or reorders events.  Every fault is
+the middle of a phase, and hardware counters glitch.  Every fault is
 drawn from a :class:`~repro.faults.plan.FaultPlan` seeded via
 ``SeedSequence([plan.seed, FAULTS_KEY, site, *coords])`` so an
 identical plan replays bit-identically, and a null plan (all rates
@@ -18,9 +17,6 @@ Layers:
 ``report``
     :class:`FaultEvent` / :class:`FaultReport` — the audit trail every
     recovery path must leave behind.
-``stream``
-    Producer-side :func:`inject_stream_faults` and the consumer-side
-    :class:`EventGuard` that sequences, dedupes, repairs, or degrades.
 ``inject``
     :class:`ClusterFaultInjector` (task failures / stragglers / GC
     pauses inside the simulated Spark + Hadoop clusters) and
@@ -41,14 +37,11 @@ _EXPORTS = {
     "ChaosOutcome": "repro.faults.chaos",
     "ChaosPlan": "repro.faults.chaos",
     "ClusterFaultInjector": "repro.faults.inject",
-    "EventGuard": "repro.faults.stream",
     "FAULTS_KEY": "repro.faults.plan",
     "FaultEvent": "repro.faults.report",
     "FaultPlan": "repro.faults.plan",
     "FaultReport": "repro.faults.report",
-    "ReplayBuffer": "repro.faults.stream",
     "TaskFaults": "repro.faults.inject",
-    "inject_stream_faults": "repro.faults.stream",
     "kill_and_restore": "repro.faults.chaos",
     "perturb_trace": "repro.faults.inject",
     "site_rng": "repro.faults.plan",
@@ -64,7 +57,6 @@ if TYPE_CHECKING:  # also the import edges that code fingerprints follow
     from repro.faults.inject import ClusterFaultInjector, TaskFaults, perturb_trace
     from repro.faults.plan import FAULTS_KEY, FaultPlan, site_rng
     from repro.faults.report import FaultEvent, FaultReport
-    from repro.faults.stream import EventGuard, ReplayBuffer, inject_stream_faults
 
 __all__ = list(_EXPORTS)
 

@@ -39,9 +39,6 @@ _RATE_FIELDS = (
     "straggler_rate",
     "gc_pause_rate",
     "counter_glitch_rate",
-    "drop_rate",
-    "duplicate_rate",
-    "reorder_rate",
 )
 
 
@@ -57,8 +54,7 @@ class FaultPlan:
     """Knobs for every fault class, plus the seed that replays them.
 
     Rates are per-opportunity probabilities: per task attempt for the
-    cluster faults, per :class:`~repro.jvm.stream.SegmentBatch` for the
-    stream faults, per trace segment for counter glitches.
+    cluster faults, per trace segment for counter glitches.
     """
 
     seed: int = 0
@@ -71,11 +67,6 @@ class FaultPlan:
     # Counter perturbations (repro.jvm.perf arithmetic).
     counter_glitch_rate: float = 0.0
     counter_glitch_scale: float = 0.25
-    # Stream faults (SegmentBatch drop / duplicate / reorder).
-    drop_rate: float = 0.0
-    duplicate_rate: float = 0.0
-    reorder_rate: float = 0.0
-    reorder_depth: int = 3
 
     def __post_init__(self) -> None:
         for name in _RATE_FIELDS:
@@ -86,8 +77,6 @@ class FaultPlan:
             raise ValueError("straggler_slowdown must be >= 1.0")
         if self.gc_pause_inst < 0 or self.counter_glitch_scale < 0:
             raise ValueError("magnitudes must be non-negative")
-        if self.reorder_depth < 1:
-            raise ValueError("reorder_depth must be >= 1")
 
     # -- activity predicates (hook points short-circuit on these) -----
 
@@ -100,23 +89,13 @@ class FaultPlan:
         )
 
     @property
-    def stream_active(self) -> bool:
-        return (
-            self.drop_rate > 0
-            or self.duplicate_rate > 0
-            or self.reorder_rate > 0
-        )
-
-    @property
     def perf_active(self) -> bool:
         return self.counter_glitch_rate > 0
 
     @property
     def is_null(self) -> bool:
         """True when the plan injects nothing at all."""
-        return not (
-            self.cluster_active or self.stream_active or self.perf_active
-        )
+        return not (self.cluster_active or self.perf_active)
 
     # -- serialisation (``simprof profile --faults plan.json``) -------
 
@@ -149,13 +128,10 @@ class FaultPlan:
 
     @classmethod
     def uniform(cls, rate: float, *, seed: int = 0) -> "FaultPlan":
-        """One rate across every fault class — the ext_faults sweep axis."""
+        """One rate across every cluster fault — the ext_faults sweep axis."""
         return cls(
             seed=seed,
             task_failure_rate=rate,
             straggler_rate=rate,
             gc_pause_rate=rate,
-            drop_rate=rate,
-            duplicate_rate=rate,
-            reorder_rate=rate,
         )

@@ -22,12 +22,10 @@ class FaultEvent:
     """One injected fault (or detected anomaly) and its resolution.
 
     ``site`` names the hook point (``spark.task``, ``hadoop.map``,
-    ``stream``, ``perf``, ...); ``kind`` the fault class
-    (``task_failure``, ``straggler``, ``gc_pause``, ``drop``,
-    ``duplicate``, ``reorder``, ``corrupt``, ``gap``, ``glitch``);
-    ``recovery`` what the consumer did about it (``reexecuted``,
-    ``lineage_recompute``, ``absorbed``, ``deduped``, ``reordered``,
-    ``replayed``, ``degraded``).
+    ``perf``, ...); ``kind`` the fault class (``task_failure``,
+    ``straggler``, ``gc_pause``, ``glitch``); ``recovery`` what the
+    consumer did about it (``reexecuted``, ``lineage_recompute``,
+    ``absorbed``).
     """
 
     site: str

@@ -43,12 +43,12 @@ from repro.jvm.machine import AccessPattern, HardwareModel, MachineConfig, OpKin
 from repro.jvm.methods import CallStack, MethodRegistry, StackTable
 from repro.jvm.stream import (
     JobEnd,
+    SegmentBatch,
     StageEvent,
     ThreadStart,
     TraceEvent,
     TraceStream,
     pump_events,
-    sequenced_batch,
 )
 from repro.jvm.threads import ThreadTrace, TraceBuilder
 from repro.spark.shuffle import ShuffleManager, stable_hash
@@ -169,10 +169,8 @@ class _TaskRun:
             cluster._streamed_slots.add(self.slot)
             emit(ThreadStart(self.slot, self.slot, trace.start_cycle))
         if len(trace):
-            seq = cluster._stream_seq.get(self.slot, 0)
-            cluster._stream_seq[self.slot] = seq + 1
             # Columnar flush: pack the task's segments once and clear.
-            emit(sequenced_batch(self.slot, trace.drain_structured(), seq))
+            emit(SegmentBatch(self.slot, trace.drain_structured()))
         return trace
 
 
@@ -208,11 +206,9 @@ class HadoopCluster:
             [] for _ in range(self.config.n_slots)
         ]
         # Streaming mode: event sink plus the set of slots whose
-        # ThreadStart has been emitted, and per-slot batch sequence
-        # numbers.
+        # ThreadStart has been emitted.
         self._stream_emit: Callable[[TraceEvent], None] | None = None
         self._streamed_slots: set[int] = set()
-        self._stream_seq: dict[int, int] = {}
         seeds = np.random.SeedSequence(self.config.seed).spawn(self.config.n_slots)
         self._slot_rngs = [np.random.default_rng(s) for s in seeds]
 
@@ -905,7 +901,6 @@ class HadoopCluster:
         def produce(emit: Callable[[TraceEvent], None]) -> None:
             self._stream_emit = emit
             self._streamed_slots = set()
-            self._stream_seq = {}
             try:
                 run()
                 emit(JobEnd(self._trace_meta()))

@@ -51,7 +51,6 @@ _EXPORTS = {
     "TraceSegment": "repro.jvm.threads",
     "TraceStream": "repro.jvm.stream",
     "pump_events": "repro.jvm.stream",
-    "segment_checksum": "repro.jvm.segments",
     "trace_to_stream": "repro.jvm.stream",
 }
 
@@ -66,7 +65,7 @@ if TYPE_CHECKING:  # also the import edges that code fingerprints follow
     from repro.jvm.threads import ThreadTrace, TraceBuilder, TraceSegment
     from repro.jvm.perf import CounterWindow, PerfCounterReader
     from repro.jvm.job import JobTrace, StageInfo
-    from repro.jvm.segments import SEGMENT_DTYPE, segment_checksum
+    from repro.jvm.segments import SEGMENT_DTYPE
     from repro.jvm.stream import (
         JobEnd,
         SegmentBatch,

@@ -59,16 +59,8 @@ class JobTrace:
         ``ThreadStart`` order, which each substrate emits to match its
         batch ``job_trace()``.  Each batch's packed rows are appended to
         its thread's row buffer; no segment objects are built.
-
-        Events pass through the :class:`~repro.faults.stream.EventGuard`
-        first, so duplicated/reordered/corrupt segment batches are
-        deduped, resequenced, or repaired; any anomaly lands in
-        ``meta["fault_report"]``.  On a clean stream the guard is a
-        pass-through and the result is byte-identical to before.
         """
-        # Local import: repro.faults.stream depends on repro.jvm.stream.
-        from repro.faults.report import FaultReport
-        from repro.faults.stream import EventGuard
+        # Local import: repro.jvm.stream imports this module.
         from repro.jvm.stream import JobEnd, SegmentBatch, StageEvent, ThreadStart
 
         job = cls(
@@ -79,9 +71,8 @@ class JobTrace:
             stack_table=stream.stack_table,
             machine=stream.machine,
         )
-        guard = EventGuard(stream)
         by_id: dict[int, ThreadTrace] = {}
-        for event in guard.events():
+        for event in stream:
             if isinstance(event, SegmentBatch):
                 trace = by_id.get(event.thread_id)
                 if trace is None:
@@ -102,7 +93,6 @@ class JobTrace:
                 job.stages.append(event.info)
             elif isinstance(event, JobEnd):
                 job.meta.update(event.meta)
-        FaultReport.merged_meta(job.meta, guard.report)
         return job
 
     @property
@@ -138,13 +128,3 @@ class JobTrace:
             return index[1][thread_id]
         except KeyError:
             raise KeyError(f"no thread {thread_id} in job trace") from None
-
-    def longest_thread(self) -> ThreadTrace:
-        """The thread that retired the most instructions.
-
-        SimProf profiles a single executor thread; the busiest one gives
-        the best stage coverage, so profiling defaults to it.
-        """
-        if not self.traces:
-            raise ValueError("job trace has no threads")
-        return max(self.traces, key=lambda t: t.total_instructions)

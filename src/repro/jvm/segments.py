@@ -1,33 +1,23 @@
 """The packed columnar segment format of the trace plane.
 
 Everything that moves trace segments between layers — substrate flush,
-the stream pump, the fault guard, the streaming profiler — moves them
+the stream pump, the streaming profiler, the trace store — moves them
 as one packed NumPy structured array per batch instead of per-segment
-Python objects.  :data:`SEGMENT_DTYPE` is the wire format: the eight
-little-endian ``<i8`` identity/counter fields the batch checksum covers
-(the same eight the historical ``struct`` pack used), plus a ninth
-``cold`` column so a columnar round trip loses nothing a
+Python objects.  :data:`SEGMENT_DTYPE` is the wire format: eight
+little-endian ``<i8`` identity/counter fields plus a ninth ``cold``
+column, so a columnar round trip loses nothing a
 :class:`~repro.jvm.threads.TraceSegment` carries.
 
 Consumers operate on column slices (``arr["instructions"]``,
 ``arr["stack_id"]``) and never materialise per-segment objects on the
 hot path; :func:`array_to_segments` exists as the one sanctioned
-adapter back to the object world (``JobTrace.from_stream``, parity
-tests, legacy callers).
-
-:func:`segment_checksum` folds the packed bytes of the eight checksum
-fields through a single :func:`zlib.crc32` call.  Because CRC-32 over a
-concatenation equals CRC-32 chained over its parts, the value is
-bit-identical to the historical per-segment pack-and-fold loop (kept in
-:mod:`repro.jvm._reference` as the parity oracle), so old and new
-format batches verify interchangeably in a mixed stream.
+adapter back to the object world (parity tests, legacy callers).
 """
 
 from __future__ import annotations
 
-import zlib
 from array import array
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,33 +26,21 @@ from repro.jvm.threads import (
     SEGMENT_DTYPE,
     SEGMENT_FIELDS,
     TraceSegment,
-    _N_FIELDS,
     _segment_row,
 )
 
 __all__ = [
     "SEGMENT_DTYPE",
     "SEGMENT_FIELDS",
-    "CHECKSUM_FIELDS",
     "empty_segment_array",
     "segments_to_array",
     "array_to_segments",
     "pack_columns",
     "unpack_columns",
-    "segment_checksum",
 ]
 
 # SEGMENT_DTYPE, the columnar wire format, is defined next to the row
-# builders in repro.jvm.threads.  Field order of its first eight entries
-# is load-bearing: it matches the historical ``struct.Struct("<qqqqqqqq")``
-# pack, which is what keeps :func:`segment_checksum` values identical
-# across the object-path and columnar-path encoders.
-
-#: The fields the batch checksum covers (everything but ``cold``, which
-#: is profiling metadata the historical pack never included).
-CHECKSUM_FIELDS: tuple[str, ...] = SEGMENT_FIELDS[:8]
-
-_N_CHECKSUM = len(CHECKSUM_FIELDS)
+# builders in repro.jvm.threads.
 
 #: Candidate column types at rest, narrowest first.
 _NARROW_DTYPES = tuple(np.dtype(t) for t in ("<i1", "<i2", "<i4", "<i8"))
@@ -139,32 +117,3 @@ def unpack_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
     for name, column in zip(SEGMENT_FIELDS, columns):
         out[name] = column
     return out
-
-
-def segment_checksum(
-    segments: Union[np.ndarray, Sequence[TraceSegment]],
-) -> int:
-    """CRC-32 over the packed checksum fields of a segment batch.
-
-    Accepts either a packed :data:`SEGMENT_DTYPE` array or a legacy
-    sequence of :class:`TraceSegment` objects (converted first), and
-    folds the little-endian bytes of the eight :data:`CHECKSUM_FIELDS`
-    through one :func:`zlib.crc32` call.  Deterministic across
-    processes (unlike salted ``hash()``), cheap enough to compute at
-    emission and again at consumption, and bit-identical to the
-    historical per-segment pack loop
-    (:func:`repro.jvm._reference.reference_segment_checksum`) for any
-    batch content — which is what lets mixed old/new-format streams
-    share one verification path.
-    """
-    if not isinstance(segments, np.ndarray):
-        segments = segments_to_array(segments)
-    elif segments.dtype != SEGMENT_DTYPE:
-        raise TypeError(
-            f"expected a SEGMENT_DTYPE array, got dtype {segments.dtype!r}"
-        )
-    n = len(segments)
-    if n == 0:
-        return 0
-    flat = np.ascontiguousarray(segments).view(np.int64).reshape(n, _N_FIELDS)
-    return zlib.crc32(np.ascontiguousarray(flat[:, :_N_CHECKSUM]).tobytes())

@@ -13,13 +13,14 @@ Segment payloads are **columnar from birth to consumption**: a
 :data:`~repro.jvm.segments.SEGMENT_DTYPE` structured array (``.data``),
 not per-segment Python objects.  Substrates pack each flush into one
 array, :func:`pump_events` moves the batch by reference through its
-queue (one pointer per batch, however many segments it holds), the
-fault guard checksums the packed buffer in one CRC pass, and the
-streaming profiler cuts sampling units from column slices — no
-per-segment object is ever allocated on the hot path.  The
-``.segments`` property materialises classic
-:class:`~repro.jvm.threads.TraceSegment` tuples lazily for the
-object-path consumers (``JobTrace.from_stream``, parity tests).
+queue (one pointer per batch, however many segments it holds), and
+the streaming profiler cuts sampling units from column slices — no
+per-segment object is ever allocated on the hot path.  Because the
+queue is in-process and ordered, a batch is never lost, repeated,
+reordered or altered on the way, so batches carry no sequence numbers
+or checksums.  The ``.segments`` property materialises classic
+:class:`~repro.jvm.threads.TraceSegment` tuples lazily for object-path
+consumers (parity tests).
 
 Event vocabulary:
 
@@ -63,7 +64,6 @@ from repro.jvm.methods import MethodRegistry, StackTable
 from repro.jvm.segments import (
     SEGMENT_DTYPE,
     array_to_segments,
-    segment_checksum,
     segments_to_array,
 )
 from repro.jvm.threads import TraceSegment
@@ -77,8 +77,6 @@ __all__ = [
     "TraceStream",
     "StreamClosed",
     "pump_events",
-    "segment_checksum",
-    "sequenced_batch",
     "trace_to_stream",
 ]
 
@@ -104,22 +102,14 @@ class SegmentBatch:
     The constructor accepts either a packed array (adopted by
     reference — the zero-copy path substrates use) or an iterable of
     :class:`TraceSegment` objects (the legacy path, converted once).
-
-    ``seq`` is a per-thread sequence number (0, 1, 2, ... in emission
-    order) and ``checksum`` the :func:`segment_checksum` of the packed
-    payload; together they let consumers detect gaps, duplicates,
-    reordering, and corruption.  ``seq == -1`` marks a
-    legacy/unsequenced batch, which consumers pass through untouched.
     """
 
-    __slots__ = ("thread_id", "data", "seq", "checksum", "_objects")
+    __slots__ = ("thread_id", "data", "_objects")
 
     def __init__(
         self,
         thread_id: int,
         segments: "np.ndarray | tuple[TraceSegment, ...] | list[TraceSegment]" = (),
-        seq: int = -1,
-        checksum: int = 0,
     ) -> None:
         self.thread_id = thread_id
         if isinstance(segments, np.ndarray):
@@ -132,8 +122,6 @@ class SegmentBatch:
         else:
             self._objects = tuple(segments)
             self.data = segments_to_array(self._objects)
-        self.seq = seq
-        self.checksum = checksum
 
     @property
     def segments(self) -> tuple[TraceSegment, ...]:
@@ -150,27 +138,11 @@ class SegmentBatch:
             return NotImplemented
         return (
             self.thread_id == other.thread_id
-            and self.seq == other.seq
-            and self.checksum == other.checksum
             and np.array_equal(self.data, other.data)
         )
 
     def __repr__(self) -> str:
-        return (
-            f"SegmentBatch(thread_id={self.thread_id}, n={len(self.data)}, "
-            f"seq={self.seq}, checksum={self.checksum})"
-        )
-
-
-def sequenced_batch(
-    thread_id: int,
-    segments: "np.ndarray | tuple[TraceSegment, ...]",
-    seq: int,
-) -> SegmentBatch:
-    """Build a :class:`SegmentBatch` with its checksum filled in."""
-    batch = SegmentBatch(thread_id, segments, seq=seq)
-    batch.checksum = segment_checksum(batch.data)
-    return batch
+        return f"SegmentBatch(thread_id={self.thread_id}, n={len(self.data)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,10 +295,8 @@ def trace_to_stream(job: JobTrace, *, batch_size: int = 256) -> TraceStream:
             yield StageEvent(info)
         for t in job.traces:
             data = t.to_structured()
-            for seq, i in enumerate(range(0, len(data), batch_size)):
-                yield sequenced_batch(
-                    t.thread_id, data[i : i + batch_size], seq
-                )
+            for i in range(0, len(data), batch_size):
+                yield SegmentBatch(t.thread_id, data[i : i + batch_size])
         yield JobEnd(dict(job.meta))
 
     return TraceStream(

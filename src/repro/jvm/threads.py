@@ -33,7 +33,7 @@ OP_KIND_CODES: dict[OpKind, int] = {kind: i for i, kind in enumerate(OpKind)}
 OP_KINDS_BY_CODE: tuple[OpKind, ...] = tuple(OpKind)
 
 #: The row layout of a packed segment, re-exported as the wire format
-#: by :mod:`repro.jvm.segments` (which documents the field order).
+#: by :mod:`repro.jvm.segments`.
 #: :func:`_segment_row` and :meth:`TraceBuilder._emit_row` build rows
 #: in this order.
 SEGMENT_DTYPE = np.dtype(

@@ -46,7 +46,7 @@ __all__ = [
     "state_digest",
 ]
 
-SNAPSHOT_VERSION = "v1"
+SNAPSHOT_VERSION = "v2"
 
 _NDARRAY_TAG = "__ndarray__"
 _BYTES_TAG = "__bytes__"

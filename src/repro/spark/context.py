@@ -21,12 +21,12 @@ from repro.hdfs.filesystem import SimulatedHDFS
 from repro.jvm.job import JobTrace, StageInfo
 from repro.jvm.stream import (
     JobEnd,
+    SegmentBatch,
     StageEvent,
     ThreadStart,
     TraceEvent,
     TraceStream,
     pump_events,
-    sequenced_batch,
 )
 from repro.jvm.machine import HardwareModel, MachineConfig
 from repro.jvm.methods import MethodRegistry, StackTable
@@ -102,8 +102,6 @@ class SparkContext:
         # Streaming mode: when set, the scheduler flushes executor
         # segments through this callback instead of accumulating them.
         self._stream_emit: Callable[[TraceEvent], None] | None = None
-        # Per-thread SegmentBatch sequence numbers (streaming mode).
-        self._stream_seq: dict[int, int] = {}
 
         seeds = np.random.SeedSequence(self.config.seed).spawn(
             self.config.n_executors
@@ -216,15 +214,9 @@ class SparkContext:
         for ex in self.executors:
             trace = ex.builder.trace
             if len(trace):
-                seq = self._stream_seq.get(trace.thread_id, 0)
-                self._stream_seq[trace.thread_id] = seq + 1
                 # Pack-and-clear in one step: the batch goes out as a
                 # columnar array, no per-segment objects cross the wire.
-                emit(
-                    sequenced_batch(
-                        trace.thread_id, trace.drain_structured(), seq
-                    )
-                )
+                emit(SegmentBatch(trace.thread_id, trace.drain_structured()))
 
     def stream_trace(
         self,
@@ -247,7 +239,6 @@ class SparkContext:
 
         def produce(emit: Callable[[TraceEvent], None]) -> None:
             self._stream_emit = emit
-            self._stream_seq = {}
             try:
                 for ex in self.executors:
                     t = ex.builder.trace

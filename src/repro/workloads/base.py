@@ -166,10 +166,10 @@ class Workload(abc.ABC):
         :meth:`~repro.jvm.job.JobTrace.from_stream` when the full trace
         is needed.
 
-        With a :class:`~repro.faults.plan.FaultPlan` in ``faults``, the
-        substrate injects cluster faults and the returned stream is
-        additionally wrapped with the plan's drop/duplicate/reorder
-        faults (plus the replay buffer consumers repair from).
+        ``faults`` takes a :class:`~repro.faults.plan.FaultPlan`, whose
+        cluster faults the substrate injects exactly as :meth:`execute`
+        does, so a streamed run records the same trace and fault report
+        as a batch one.
         """
         from repro.hadoop.runtime import HadoopCluster
         from repro.spark.context import SparkContext
@@ -177,23 +177,17 @@ class Workload(abc.ABC):
         if framework == "spark":
             ctx = SparkContext(self._spark_config(inp, spark_config), faults=faults)
             meta = self.prepare_input(ctx.fs, inp)
-            stream = ctx.stream_trace(
+            return ctx.stream_trace(
                 lambda: self.run_spark(ctx, meta), self.name, input_name=inp.name
             )
-        elif framework == "hadoop":
+        if framework == "hadoop":
             cluster = HadoopCluster(
                 self._hadoop_config(inp, hadoop_config), faults=faults
             )
             meta = self.prepare_input(cluster.fs, inp)
-            stream = cluster.stream_trace(
+            return cluster.stream_trace(
                 lambda: self.run_hadoop(cluster, meta),
                 self.name,
                 input_name=inp.name,
             )
-        else:
-            raise ValueError(f"unknown framework {framework!r} (spark|hadoop)")
-        if faults is not None:
-            from repro.faults.stream import inject_stream_faults
-
-            stream = inject_stream_faults(stream, faults)
-        return stream
+        raise ValueError(f"unknown framework {framework!r} (spark|hadoop)")

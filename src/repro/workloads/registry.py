@@ -131,8 +131,8 @@ def run_workload_stream(
     after emission.  Feed it to ``SimProf.analyze_stream`` (bit-identical
     to the batch path under the same seed) or materialise it with
     ``JobTrace.from_stream``.  A :class:`~repro.faults.plan.FaultPlan`
-    in ``faults`` additionally wraps the stream with its
-    drop/duplicate/reorder faults.
+    in ``faults`` injects the same cluster faults as in
+    :func:`run_workload`.
     """
     workload = get_workload(name)
     inp = WorkloadInput(

@@ -541,48 +541,6 @@ class TestSPA012ResourceLifecycle:
         )
         assert findings == []
 
-    def test_replay_buffer_dropped_on_normal_path_leaks(self):
-        findings = check(
-            "SPA012",
-            repro__faults__wrap="""
-            def wrap(stream, window):
-                replay = ReplayBuffer(window)
-                for event in stream:
-                    replay.store(event)
-                return stream
-            """,
-        )
-        assert len(findings) == 1
-        assert "replay buffer" in findings[0].message
-
-    def test_replay_buffer_exception_before_escape_is_gc_safe(self):
-        # The inject_stream_faults shape: raising constructors sit
-        # between the acquisition and the attribute hand-off.  An
-        # exception there drops a still-empty pure-Python buffer — only
-        # the *normal* path must transfer ownership.
-        findings = check(
-            "SPA012",
-            repro__faults__wrap="""
-            def wrap(stream, window):
-                replay = ReplayBuffer(window)
-                out = make_stream(stream)
-                out.replay = replay
-                return out
-            """,
-        )
-        assert findings == []
-
-    def test_replay_buffer_outside_product_code_unchecked(self):
-        findings = check(
-            "SPA012",
-            tests__helpers="""
-            def wrap(stream, window):
-                replay = ReplayBuffer(window)
-                return stream
-            """,
-        )
-        assert findings == []
-
 
 class TestSPA013UndeclaredStageInput:
     def test_undeclared_module_global_read(self):

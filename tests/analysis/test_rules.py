@@ -541,7 +541,7 @@ class TestSPA008Columnar:
                 for sid, n in zip(batch.data["stack_id"], batch.data["instructions"]):
                     yield sid, n
             """,
-            module="repro.faults.stream",
+            module="repro.core.features",
             rule="SPA008",
         )
         assert len(findings) == 1

@@ -1,28 +1,23 @@
 """Columnar trace plane vs the ``_reference`` object path, bit for bit.
 
-The columnar refactor replaced three per-segment Python loops — the
-checksum pack loop, the streaming unit cutter, and the substrate flush
-— with packed-array code.  These tests hold each replacement to the
-``_reference`` oracle byte-for-byte: same checksums for any content
-(including mixed old/new-format streams), same sampling units (stack
-histograms and interpolated counters) for any batch partition of the
-same segment sequence.
+The columnar refactor replaced the per-segment Python loops of the
+streaming unit cutter and the substrate flush with packed-array code.
+These tests hold the cutter to the ``_reference`` oracle byte-for-byte
+— same sampling units (stack histograms and interpolated counters) for
+any batch partition of the same segment sequence — and check that the
+object/columnar adapters round-trip every segment field.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core._reference import ReferenceUnitCutter
 from repro.core.profiler import ProfilerConfig, _UnitCutter
-from repro.jvm._reference import reference_segment_checksum
 from repro.jvm.machine import OpKind
 from repro.jvm.segments import (
-    SEGMENT_DTYPE,
     array_to_segments,
     empty_segment_array,
-    segment_checksum,
     segments_to_array,
 )
 from repro.jvm.threads import OP_KINDS_BY_CODE, TraceSegment
@@ -48,73 +43,11 @@ def _random_segments(
     )
 
 
-class TestChecksumParity:
-    def test_matches_reference_loop(self):
-        rng = np.random.default_rng(np.random.SeedSequence([2024, 1]))
-        for n in (1, 2, 7, 64, 513):
-            segs = _random_segments(rng, n)
-            assert segment_checksum(segments_to_array(segs)) == (
-                reference_segment_checksum(segs)
-            )
-
-    def test_object_sequence_input_matches(self):
-        rng = np.random.default_rng(np.random.SeedSequence([2024, 2]))
-        segs = _random_segments(rng, 31)
-        assert segment_checksum(segs) == reference_segment_checksum(segs)
-
-    def test_empty_batch_is_zero(self):
-        assert segment_checksum(()) == 0
-        assert segment_checksum(empty_segment_array()) == 0
-        assert reference_segment_checksum(()) == 0
-
-    def test_mixed_format_stream_shares_one_verdict(self):
-        # An old-format (object) producer and a new-format (columnar)
-        # producer emitting the same content must verify through the
-        # same checksum — that is what lets one EventGuard handle both.
-        rng = np.random.default_rng(np.random.SeedSequence([2024, 3]))
-        segs = _random_segments(rng, 100)
-        data = segments_to_array(segs)
-        assert segment_checksum(data) == segment_checksum(segs)
-        # Any batch split of the same content chains to the same total
-        # CRC (the concatenation property the wire format relies on).
-        import zlib
-
-        whole = segment_checksum(data)
-        part = zlib.crc32(
-            np.ascontiguousarray(
-                np.ascontiguousarray(data[37:]).view(np.int64).reshape(-1, 9)[:, :8]
-            ).tobytes(),
-            segment_checksum(data[:37]),
-        )
-        assert part == whole
-
-    def test_cold_column_excluded_from_checksum(self):
-        rng = np.random.default_rng(np.random.SeedSequence([2024, 4]))
-        segs = _random_segments(rng, 16)
-        flipped = tuple(
-            TraceSegment(
-                s.stack_id,
-                s.op_kind,
-                s.instructions,
-                s.cycles,
-                s.l1d_misses,
-                s.llc_misses,
-                s.stage_id,
-                s.task_id,
-                cold=not s.cold,
-            )
-            for s in segs
-        )
-        assert segment_checksum(segs) == segment_checksum(flipped)
-
+class TestWireFormat:
     def test_round_trip_preserves_everything(self):
         rng = np.random.default_rng(np.random.SeedSequence([2024, 5]))
         segs = _random_segments(rng, 50)
         assert array_to_segments(segments_to_array(segs)) == segs
-
-    def test_rejects_foreign_dtype(self):
-        with pytest.raises(TypeError, match="SEGMENT_DTYPE"):
-            segment_checksum(np.zeros(4, dtype=np.int64))
 
 
 def _phase_segments(

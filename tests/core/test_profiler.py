@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.profiler import ProfilerConfig, SimProfProfiler
+from repro.core.profiler import (
+    ProfilerConfig,
+    SimProfProfiler,
+    _UnitCutter,
+    select_thread,
+)
 from repro.jvm.job import JobTrace
 from repro.jvm.machine import MachineConfig
 from tests.helpers import make_registry_with_stacks, make_trace
@@ -172,6 +177,32 @@ class TestProfileJob:
         assert profile.workload == "t"
         assert profile.meta["n_executors"] == 8
         assert profile.label == "t_sp"
+
+
+class TestSelectThread:
+    """One rule picks the profiled thread for batch and stream alike."""
+
+    CFG = ProfilerConfig(unit_size=100, snapshot_period=10)
+
+    def test_explicit_thread_must_exist(self):
+        cfg = ProfilerConfig(unit_size=100, snapshot_period=10, thread_id=7)
+        with pytest.raises(KeyError, match="no thread 7 in job trace"):
+            select_thread({0: 500, 1: 900}, cfg)
+
+    @pytest.mark.parametrize("total", [0, 1, 99, 100, 101, 199, 200])
+    def test_one_unit_rule_is_the_cutters(self, total):
+        # select_thread rejects a thread exactly when the cutter would
+        # complete no unit for it (the old batch-path condition).
+        registry, table, stacks = make_registry_with_stacks(n_stacks=1)
+        trace = make_trace([(stacks[0], total, 1.0)], table)
+        cutter = _UnitCutter(0, self.CFG)
+        units = cutter.feed_array(trace.to_structured()) + cutter.flush()
+        try:
+            select_thread({0: total}, self.CFG)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == bool(units)
 
 
 class TestThreadProfileAccessors:

@@ -19,6 +19,7 @@ from repro.core.clustering import OnlineKMeans
 from repro.core.features import FeatureSpace, UnitFeaturizer
 from repro.core.phases import PhaseModel
 from repro.core.profiler import ProfilerConfig, SimProfProfiler, StreamingProfiler
+from repro.faults import FaultPlan
 from repro.jvm.job import JobTrace
 from repro.jvm.machine import MachineConfig, OpKind
 from repro.jvm.methods import CallStack, MethodRegistry, StackTable
@@ -30,9 +31,9 @@ from repro.jvm.stream import (
     trace_to_stream,
 )
 from repro.jvm.threads import TraceSegment
-from repro.workloads import run_workload_stream
+from repro.workloads import run_workload, run_workload_stream
 from tests.conftest import TEST_SCALE, TEST_SIMPROF_CONFIG
-from tests.helpers import PhaseSpec, make_synthetic_profile
+from tests.helpers import PhaseSpec, busiest_thread, make_synthetic_profile
 
 
 def _assert_units_identical(batch_profile, stream_profile):
@@ -87,7 +88,7 @@ class TestAnalyzeStreamParity:
         _assert_results_identical(batch, streamed)
 
     def test_explicit_thread_parity(self, wc_spark_trace, simprof_tool):
-        tid = wc_spark_trace.longest_thread().thread_id
+        tid = busiest_thread(wc_spark_trace).thread_id
         batch = simprof_tool.analyze(wc_spark_trace, thread_id=tid)
         streamed = simprof_tool.analyze_stream(
             trace_to_stream(wc_spark_trace), thread_id=tid
@@ -104,6 +105,62 @@ class TestAnalyzeStreamParity:
             assert copy.thread_id == orig.thread_id
             assert copy.start_cycle == orig.start_cycle
             assert copy.segments == orig.segments
+
+
+#: Cluster faults only: with no stream-side faults left, ``--faults``
+#: must mean the same run with or without ``--stream``.
+_CLUSTER_PLAN = FaultPlan(
+    seed=7, task_failure_rate=0.1, straggler_rate=0.1, gc_pause_rate=0.1
+)
+
+
+class TestParityUnderClusterFaults:
+    @pytest.mark.parametrize(
+        "workload,framework,fires",
+        [
+            ("wc", "spark", True),
+            ("wc", "hadoop", True),
+            ("grep", "hadoop", False),  # too few tasks for a fault to fire
+            ("sort", "hadoop", True),
+        ],
+    )
+    def test_same_thread_units_and_fault_report(self, workload, framework, fires):
+        kwargs = dict(scale=0.01, seed=0, faults=_CLUSTER_PLAN)
+        batch = SimProfProfiler().profile(
+            run_workload(workload, framework, **kwargs)
+        )
+        streamed = StreamingProfiler().consume(
+            run_workload_stream(workload, framework, **kwargs)
+        )
+        assert ("fault_report" in batch.meta) == fires
+        assert streamed.meta.get("fault_report") == batch.meta.get("fault_report")
+        _assert_units_identical(batch.profile, streamed.profile)
+
+
+class TestEmittedBuffersStayIntact:
+    """A producer must not touch a batch's buffer after emitting it.
+
+    Batches travel by reference, so a substrate that reused or refilled
+    a drained buffer would silently rewrite batches the consumer still
+    holds.  Keeping every batch until ``JobEnd`` and only then comparing
+    each thread's concatenation with the batch trace catches that.
+    """
+
+    @pytest.mark.parametrize("workload,framework", [("wc", "spark"), ("sort", "hadoop")])
+    def test_held_batches_equal_the_batch_trace(self, workload, framework):
+        held: dict[int, list[np.ndarray]] = {}
+        for event in run_workload_stream(
+            workload, framework, scale=TEST_SCALE, seed=0
+        ):
+            if isinstance(event, ThreadStart):
+                held[event.thread_id] = []
+            elif isinstance(event, SegmentBatch):
+                held[event.thread_id].append(event.data)
+        trace = run_workload(workload, framework, scale=TEST_SCALE, seed=0)
+        assert list(held) == [t.thread_id for t in trace.traces]
+        for t in trace.traces:
+            streamed = np.concatenate(held[t.thread_id])
+            assert streamed.tobytes() == t.to_structured().tobytes()
 
 
 # -- streaming error paths (messages match the batch path) --------------------

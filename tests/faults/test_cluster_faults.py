@@ -13,6 +13,7 @@ import pytest
 
 from repro.faults import FaultPlan, perturb_trace
 from repro.workloads import run_workload, run_workload_stream
+from tests.helpers import busiest_thread
 
 SCALE = 0.05
 SEED = 0
@@ -95,7 +96,7 @@ class TestPerfPerturbations:
         assert perturbed.meta["fault_report"]["counts"][
             "glitch/absorbed"
         ] == len(report)
-        base = wc_spark_trace.longest_thread()
+        base = busiest_thread(wc_spark_trace)
         pert = perturbed.thread(base.thread_id)
         inst = lambda t: sum(s.instructions for s in t.segments)  # noqa: E731
         cyc = lambda t: sum(s.cycles for s in t.segments)  # noqa: E731
@@ -114,6 +115,6 @@ class TestPerfPerturbations:
         )
         assert not report
         assert np.array_equal(
-            [s.cycles for s in perturbed.longest_thread().segments],
-            [s.cycles for s in wc_spark_trace.longest_thread().segments],
+            [s.cycles for s in busiest_thread(perturbed).segments],
+            [s.cycles for s in busiest_thread(wc_spark_trace).segments],
         )

@@ -12,12 +12,11 @@ class TestValidation:
         plan = FaultPlan()
         assert plan.is_null
         assert not plan.cluster_active
-        assert not plan.stream_active
         assert not plan.perf_active
 
     @pytest.mark.parametrize("field", [
         "task_failure_rate", "straggler_rate", "gc_pause_rate",
-        "counter_glitch_rate", "drop_rate", "duplicate_rate", "reorder_rate",
+        "counter_glitch_rate",
     ])
     def test_rates_bounded(self, field):
         with pytest.raises(ValueError, match="must be in"):
@@ -29,22 +28,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="straggler_slowdown"):
             FaultPlan(straggler_slowdown=0.5)
 
-    def test_reorder_depth_floor(self):
-        with pytest.raises(ValueError, match="reorder_depth"):
-            FaultPlan(reorder_depth=0)
-
     def test_activity_predicates(self):
         assert FaultPlan(task_failure_rate=0.1).cluster_active
-        assert FaultPlan(drop_rate=0.1).stream_active
         assert FaultPlan(counter_glitch_rate=0.1).perf_active
-        assert not FaultPlan(task_failure_rate=0.1).stream_active
+        assert not FaultPlan(task_failure_rate=0.1).perf_active
+        assert not FaultPlan(counter_glitch_rate=0.1).cluster_active
 
     def test_uniform_sets_every_injection_rate(self):
         plan = FaultPlan.uniform(0.07, seed=9)
         assert plan.seed == 9
-        assert plan.cluster_active and plan.stream_active
-        for name in ("task_failure_rate", "straggler_rate", "gc_pause_rate",
-                     "drop_rate", "duplicate_rate", "reorder_rate"):
+        assert plan.cluster_active and not plan.perf_active
+        for name in ("task_failure_rate", "straggler_rate", "gc_pause_rate"):
             assert getattr(plan, name) == 0.07
 
 
@@ -54,7 +48,7 @@ class TestSerialisation:
         assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_save_load(self, tmp_path):
-        plan = FaultPlan(seed=2, drop_rate=0.2, reorder_depth=5)
+        plan = FaultPlan(seed=2, straggler_rate=0.2, straggler_slowdown=2.0)
         path = tmp_path / "plan.json"
         plan.save(path)
         assert FaultPlan.load(path) == plan

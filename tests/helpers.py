@@ -37,6 +37,11 @@ class PhaseSpec:
     op_kind: OpKind = OpKind.MAP
 
 
+def busiest_thread(job) -> ThreadTrace:
+    """The thread that retired the most instructions (the default pick)."""
+    return max(job.traces, key=lambda t: t.total_instructions)
+
+
 def make_registry_with_stacks(
     n_stacks: int = 4, depth: int = 5
 ) -> tuple[MethodRegistry, StackTable, list[CallStack]]:

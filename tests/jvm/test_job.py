@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.profiler import ProfilerConfig, select_thread
 from repro.jvm.job import JobTrace, StageInfo
 from repro.jvm.machine import MachineConfig, OpKind
 from repro.jvm.methods import MethodRegistry, StackTable
 from repro.jvm.threads import ThreadTrace, TraceSegment
+
+
+_ONE_INSTRUCTION_UNITS = ProfilerConfig(unit_size=1, snapshot_period=1)
 
 
 def _job_with_threads(instr_per_thread: list[int]) -> JobTrace:
@@ -51,10 +55,11 @@ class TestJobTrace:
             job.thread(99)
 
     def test_longest_thread(self):
-        job = _job_with_threads([10, 50, 20])
-        assert job.longest_thread().thread_id == 1
+        job = _job_with_threads([10, 50, 20, 50])
+        totals = {t.thread_id: t.total_instructions for t in job.traces}
+        # The busiest thread, the first one winning a tie.
+        assert select_thread(totals, _ONE_INSTRUCTION_UNITS) == 1
 
     def test_longest_thread_empty_raises(self):
-        job = _job_with_threads([])
-        with pytest.raises(ValueError):
-            job.longest_thread()
+        with pytest.raises(ValueError, match="no threads"):
+            select_thread({}, _ONE_INSTRUCTION_UNITS)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.jvm.perf import PerfCounterReader, apply_counter_glitches
 from repro.jvm.threads import ThreadTrace
-from tests.helpers import make_registry_with_stacks, make_trace
+from tests.helpers import busiest_thread, make_registry_with_stacks, make_trace
 
 
 def _reference_counter_glitches(trace, *, rate, scale, rng):
@@ -101,7 +101,7 @@ class TestCounterGlitches:
     def test_columnar_rescale_matches_object_loop(
         self, wc_spark_trace, rate, scale, seed
     ):
-        trace = wc_spark_trace.longest_thread()
+        trace = busiest_thread(wc_spark_trace)
         rng = np.random.default_rng(seed)
         ref_rng = np.random.default_rng(seed)
         out, n = apply_counter_glitches(trace, rate=rate, scale=scale, rng=rng)

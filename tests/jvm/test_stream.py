@@ -15,7 +15,6 @@ from repro.jvm.stream import (
     StreamClosed,
     ThreadStart,
     pump_events,
-    segment_checksum,
     trace_to_stream,
 )
 from repro.jvm.threads import ThreadTrace, TraceSegment
@@ -155,7 +154,6 @@ class TestPumpEvents:
         batches = [e for e in events if isinstance(e, SegmentBatch)]
         assert [len(b) for b in batches] == [0, 0]
         assert all(b.segments == () for b in batches)
-        assert all(b.checksum == 0 for b in batches)
 
 
 class TestColumnarBatch:
@@ -190,7 +188,6 @@ class TestColumnarBatch:
         segs = tuple(job.traces[0].segments)
         batch = SegmentBatch(0, segs)
         assert batch.segments == segs
-        assert segment_checksum(batch.data) == segment_checksum(segs)
 
     def test_rejects_wrong_dtype(self):
         with pytest.raises(TypeError, match="SEGMENT_DTYPE"):
@@ -203,9 +200,6 @@ class TestColumnarBatch:
         warm = TraceSegment(sid, OpKind.MAP, 100, 60, 1, 0, cold=False)
         batch = SegmentBatch(0, (cold, warm))
         assert [s.cold for s in batch.segments] == [True, False]
-        # cold is metadata, not payload: it must not perturb the
-        # checksum the historical 8-field pack defined.
-        assert segment_checksum((cold,)) == segment_checksum((warm,))
 
 
 class TestTraceCaching:

@@ -294,6 +294,31 @@ class TestChainCorruption:
         assert manager.latest() is None
 
 
+class TestSnapshotVersion:
+    def test_v1_checkpoint_is_refused(self, tmp_path):
+        # v2 dropped the stream guard from the session snapshot; a chain
+        # written before that is neither listed, resumed nor decoded.
+        assert SNAPSHOT_VERSION == "v2"
+        v1_blob = encode_state({"position": 3, "session": {"x": 1}}).replace(
+            b'"__snapshot_version__":"v2"', b'"__snapshot_version__":"v1"'
+        )
+        with pytest.raises(SnapshotError, match="'v1'"):
+            decode_state(v1_blob)
+        store = ArtifactStore(tmp_path)
+        params = {
+            "job": "job-old",
+            "position": 3,
+            "snapshot": "v1",
+            "state_digest": state_digest(v1_blob),
+        }
+        key = store.key_for(CHECKPOINT_KIND, params)
+        store.put(key, v1_blob, kind=CHECKPOINT_KIND, params=params)
+        store.clear_memory()
+        manager = CheckpointManager(store, "job-old")
+        assert manager.manifests() == []
+        assert manager.latest() is None
+
+
 class TestVerifyCheckpoints:
     def test_deep_verify_classifies_all_three_ways(self, tmp_path):
         store = ArtifactStore(tmp_path)

@@ -19,7 +19,6 @@ from repro.core.clustering import OnlineKMeans
 from repro.core.features import FeatureSpace, UnitFeaturizer
 from repro.core.phases import PhaseModel
 from repro.core.profiler import ProfilerSession
-from repro.faults.stream import EventGuard
 from repro.runtime.instrument import ThroughputMeter
 from repro.runtime.snapshot import (
     SNAPSHOT_VERSION,
@@ -182,9 +181,6 @@ class TestFixedPoints:
         assert encode_state(clone.snapshot()) == encode_state(state)
         np.testing.assert_array_equal(clone.assignments, model.assignments)
         np.testing.assert_array_equal(clone.centers, model.centers)
-
-    def test_event_guard_fixed_point(self):
-        _roundtrip(EventGuard())
 
     @given(cut_at=st.integers(0, 30))
     @settings(max_examples=10, deadline=None)

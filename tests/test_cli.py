@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import FIGURES, _parse_label, build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParseLabel:
@@ -112,6 +119,30 @@ class TestCommands:
     def test_table_figure(self, capsys):
         assert main(["figure", "table1"]) == 0
         assert "Table I" in capsys.readouterr().out
+
+    def test_profile_rejects_stream_fault_fields(self, tmp_path):
+        # The stream drop/duplicate/reorder knobs are gone; an old plan
+        # file naming them fails loudly instead of being half-applied.
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            '{"seed": 1, "task_failure_rate": 0.1, "drop_rate": 0.1, '
+            '"duplicate_rate": 0.1, "reorder_rate": 0.1, "reorder_depth": 3}'
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "profile", "wc_sp",
+             "--scale", "0.01", "--faults", str(plan)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.strip() == (
+            "error: cannot load fault plan: unknown FaultPlan fields: "
+            "['drop_rate', 'duplicate_rate', 'reorder_depth', 'reorder_rate']"
+        )
 
     def test_sensitivity_rejects_text_workloads(self):
         with pytest.raises(SystemExit):
