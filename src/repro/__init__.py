@@ -42,7 +42,7 @@ __version__ = "1.0.0"
 #: numpy and scipy through this package's init.
 _EXPORTS = {
     "JobProfile": "repro.core.units",
-    "ProfilerConfig": "repro.core.profiler",
+    "ProfilerConfig": "repro.core.units",
     "SamplingUnit": "repro.core.units",
     "SimProf": "repro.core.pipeline",
     "SimProfConfig": "repro.core.pipeline",

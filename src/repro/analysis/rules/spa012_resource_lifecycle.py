@@ -1,9 +1,8 @@
 """SPA012: shared-resource lifecycle.
 
-``delete=False`` temp files (the store's write-then-rename) and
-shared-memory blocks outlive the Python objects that wrap them: a path
-that leaves the function without closing/unlinking the handle leaks an
-on-disk file or a kernel object.
+``delete=False`` temp files (the store's write-then-rename) outlive the
+Python objects that wrap them: a path that leaves the function without
+closing/unlinking the handle leaks an on-disk file.
 The leak almost always hides on *exception* paths — the happy path
 renames the file, but an error between acquisition and release
 unwinds past the cleanup (the chaos harness finds these dynamically
@@ -14,15 +13,14 @@ against the function's CFG (:mod:`repro.analysis.cfg`, with exception
 edges): the acquisition node must not reach the normal exit or the
 raise sink without passing a *release* or an *escape* of the resource.
 
-* acquisitions — ``multiprocessing.shared_memory.SharedMemory(...)``
-  and ``tempfile.NamedTemporaryFile(...)`` / ``tempfile.mkstemp(...)``;
+* acquisitions — ``tempfile.NamedTemporaryFile(..., delete=False)``;
 * releases — ``name.close()/.unlink()/.release()/.clear()``, or
   ``os.replace/os.unlink/os.remove`` applied to ``name``/``name.name``;
 * escapes (ownership transfer ends local responsibility) — returning
   or yielding the resource, passing it *bare* to a call
-  (``open_blocks.append(block)``), storing it into an attribute,
+  (``open_files.append(tmp)``), storing it into an attribute,
   subscript or container, or aliasing it to another name.  Reading an
-  attribute (``block.buf``, ``block.name``) is not an escape.
+  attribute (``tmp.name``) is not an escape.
 
 ``with <acquisition>() as name:`` is exempt — the context manager owns
 the lifecycle.
@@ -45,17 +43,13 @@ from repro.analysis.project import (
 
 _RELEASE_METHODS = frozenset({"close", "unlink", "release", "clear", "terminate"})
 _OS_RELEASES = frozenset({"unlink", "remove", "replace"})
-_TMP_CALLS = frozenset({"NamedTemporaryFile", "mkstemp"})
 
 
 def _acquisition_kind(ctx: ModuleContext, node: ast.AST) -> str | None:
     if not isinstance(node, ast.Call):
         return None
     dotted = ctx.resolve_call(node) or ""
-    leaf = dotted.rpartition(".")[2]
-    if leaf == "SharedMemory":
-        return "shared-memory block"
-    if leaf in _TMP_CALLS:
+    if dotted.rpartition(".")[2] == "NamedTemporaryFile":
         # delete=True temp files clean themselves up on close/GC.
         for kw in node.keywords:
             if (
@@ -131,9 +125,9 @@ class SharedResourceLifecycle(ProjectRule):
     id = "SPA012"
     name = "shared-resource-lifecycle"
     rationale = (
-        "A delete=False temp file or shared-memory block that escapes "
-        "cleanup on any path — especially exception unwinds — leaks an "
-        "on-disk file or kernel object past the process."
+        "A delete=False temp file that escapes cleanup on any path — "
+        "especially exception unwinds — leaks an on-disk file past the "
+        "process."
     )
     hint = (
         "release the resource on every path (try/finally or an except "

@@ -18,7 +18,7 @@ _EXPORTS = {
     "PhaseModel": "repro.core.phases",
     "PhaseSensitivity": "repro.core.sensitivity",
     "PhaseStats": "repro.core.phases",
-    "ProfilerConfig": "repro.core.profiler",
+    "ProfilerConfig": "repro.core.units",
     "ProfilerSession": "repro.core.profiler",
     "SRSSampler": "repro.core.baselines",
     "SamplingUnit": "repro.core.units",
@@ -48,9 +48,13 @@ _EXPORTS = {
 }
 
 if TYPE_CHECKING:  # also the import edges that code fingerprints follow
-    from repro.core.units import JobProfile, SamplingUnit, ThreadProfile
-    from repro.core.profiler import (
+    from repro.core.units import (
+        JobProfile,
         ProfilerConfig,
+        SamplingUnit,
+        ThreadProfile,
+    )
+    from repro.core.profiler import (
         ProfilerSession,
         SimProfProfiler,
         StreamingProfiler,

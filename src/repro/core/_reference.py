@@ -6,8 +6,9 @@ These are the straightforward per-loop versions the optimised code in
 featurizer, a per-cluster-loop silhouette that recomputes its distance
 block for every evaluation, a Lloyd loop with no fixed-point early
 exit, a serial k-sweep that refits k-means for the chosen k, the
-per-segment streaming unit cutter, and a stratified sampler that masks
-the units once per phase and statistic.  They are kept for two reasons:
+per-segment streaming unit cutter, a stratified sampler that masks
+the units once per phase and statistic, and a feature selector that
+asks scipy for every F-critical value.  They are kept for two reasons:
 
 * **parity** — the property tests assert the fast path produces
   bit-identical feature matrices and phase selections (and
@@ -24,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.clustering import KMeansResult, _kmeanspp_init, _pairwise_sq_dists
+from repro.core.features import _f_critical, univariate_regression_scores
 from repro.core.profiler import ProfilerConfig
 from repro.core.sampling import (
     StratifiedEstimate,
@@ -35,6 +37,7 @@ from repro.jvm.threads import TraceSegment
 
 __all__ = [
     "reference_build_feature_matrix",
+    "reference_select_features",
     "reference_silhouette_score",
     "reference_kmeans",
     "reference_choose_k",
@@ -236,6 +239,31 @@ def reference_build_feature_matrix(
             if total > 0:
                 row /= total
     return X
+
+
+def reference_select_features(
+    X: np.ndarray,
+    ipc: np.ndarray,
+    top_k: int = 100,
+    significance: float = 0.01,
+    mean_appearances: np.ndarray | None = None,
+    min_appearances: float = 0.5,
+    min_r2: float = 0.10,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature selection with scipy's critical value for every call."""
+    n, n_features = X.shape
+    scores = univariate_regression_scores(X, ipc)
+    if n_features == 0 or n < 3:
+        return np.empty(0, dtype=np.intp), scores
+    f_crit = _f_critical(min(1.0, significance / n_features), max(1, n - 2))
+    f_floor = min_r2 / (1.0 - min_r2) * (n - 2)
+    eligible = scores > max(f_crit, f_floor)
+    if mean_appearances is not None:
+        eligible &= mean_appearances >= min_appearances
+    passing = np.nonzero(eligible)[0]
+    order = np.argsort(-scores[passing], kind="stable")
+    chosen = passing[order[:top_k]]
+    return np.sort(chosen), scores
 
 
 def reference_silhouette_score(

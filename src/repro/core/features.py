@@ -24,6 +24,7 @@ the float result — identical to the row-by-row formulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -168,11 +169,129 @@ def _f_critical(q: float, dfd: int) -> float:
     """Upper-``q`` critical value of the F(1, ``dfd``) distribution.
 
     ``fdtri(1, dfd, 1 - q)`` is what ``scipy.stats.f.isf(q, 1, dfd)``
-    evaluates, bit for bit, without importing ``scipy.stats``.
+    evaluates, bit for bit, without importing ``scipy.stats``.  Importing
+    even ``scipy.special`` costs a cold run about a fifth of a second, so
+    :func:`select_features` asks for this value only for a score that
+    falls inside :func:`_f_critical_bracket`.
     """
     from scipy import special
 
     return float(special.fdtri(1, dfd, 1.0 - q))
+
+
+#: Relative half-width of :func:`_f_critical_bracket`.  The pure-Python
+#: quantile agrees with scipy's ``fdtri`` to 1e-13 relative for ``dfd``
+#: up to 200, 1e-10 at 20 000 and 5e-9 at 10⁶, so this margin holds
+#: scipy's value with room to spare while keeping ``(hi - lo) / lo``
+#: below 1e-6.
+_F_BRACKET_RTOL = 4e-7
+
+
+def _incomplete_beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the regularised incomplete beta ``I_x(a, b)``.
+
+    The modified Lentz evaluation of Numerical Recipes' ``betacf``,
+    without the ``x^a (1-x)^b / (a B(a, b))`` prefactor; it converges
+    fast for ``x < (a + 1) / (a + b + 2)``.  Returns NaN if it does not
+    converge, which sends the caller to scipy.
+    """
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        m2 = 2 * m
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + aa / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    return math.nan
+
+
+def _f1_tails(x: float, dfd: int, log_beta: float) -> tuple[float, float]:
+    """``(P(F ≤ x), P(F > x))`` of F(1, ``dfd``) at ``x > 0``.
+
+    ``P(F ≤ x) = I_w(1/2, dfd/2)`` with ``w = x / (dfd + x)``; the
+    continued fraction runs on whichever side converges and the other
+    tail is its complement.  ``log_beta`` is ``ln B(1/2, dfd/2)``.
+    """
+    a, b = 0.5, dfd / 2.0
+    w = x / (dfd + x)
+    # w^a (1-w)^b / B(a, b), with ln(1 - w) = -log1p(x/dfd).
+    front = math.exp(a * math.log(w) - b * math.log1p(x / dfd) - log_beta)
+    if w < (a + 1.0) / (a + b + 2.0):
+        cdf = front * _incomplete_beta_cf(a, b, w) / a
+        return cdf, 1.0 - cdf
+    sf = front * _incomplete_beta_cf(b, a, dfd / (dfd + x)) / b
+    return 1.0 - sf, sf
+
+
+def _f_critical_bracket(q: float, dfd: int) -> tuple[float, float]:
+    """``(lo, hi)`` with ``lo ≤ _f_critical(q, dfd) ≤ hi``, without scipy.
+
+    The quantile is solved by safeguarded Newton steps on ``ln x``
+    against the smaller tail of F(1, ``dfd``), evaluated with
+    ``math.lgamma`` and a continued fraction; the bracket is that
+    quantile widened by :data:`_F_BRACKET_RTOL` on each side, so
+    ``(hi - lo) / lo`` is below 1e-6.  Like scipy, it solves at the
+    upper-tail mass ``1 - (1 - q)``: scipy receives ``1 - q`` and takes
+    its complement again, which for tiny ``q`` moves the quantile by up
+    to 1e-4 relative.  If the solve fails, the bracket is ``(0, inf)``
+    and decides nothing.
+    """
+    q = 1.0 - (1.0 - q)
+    if q <= 0.0:
+        return math.inf, math.inf
+    if q >= 1.0:
+        return 0.0, 0.0
+    upper = q <= 0.5
+    target = math.log(q if upper else 1.0 - q)
+    # The solved tail falls (upper) or rises (lower) with u = ln x.
+    sign = -1.0 if upper else 1.0
+    log_beta = math.lgamma(0.5) + math.lgamma(dfd / 2.0) - math.lgamma((dfd + 1) / 2.0)
+    u, u_lo, u_hi = 0.0, -math.inf, math.inf
+    for _ in range(200):
+        x = math.exp(u)
+        cdf, sf = _f1_tails(x, dfd, log_beta)
+        tail = sf if upper else cdf
+        if not tail >= 0.0:
+            break
+        h = math.log(tail) - target if tail > 0.0 else -math.inf
+        if h * sign < 0.0:
+            u_lo = u
+        else:
+            u_hi = u
+        new = math.nan
+        if math.isfinite(h):
+            # d tail / d ln x = sign · x · pdf(x).
+            log_xpdf = (
+                0.5 * math.log(x / dfd)
+                - (dfd + 1) / 2.0 * math.log1p(x / dfd)
+                - log_beta
+            )
+            step = h * tail / (sign * math.exp(log_xpdf))
+            if abs(step) <= 1e-9:
+                root = math.exp(u - step)
+                return root * (1.0 - _F_BRACKET_RTOL), root * (1.0 + _F_BRACKET_RTOL)
+            new = u - step
+        if not u_lo < new < u_hi:
+            if math.isinf(u_hi):
+                new = u_lo + 8.0
+            elif math.isinf(u_lo):
+                new = u_hi - 8.0
+            else:
+                new = 0.5 * (u_lo + u_hi)
+        u = min(max(new, -700.0), 700.0)
+    return 0.0, math.inf
 
 
 def select_features(
@@ -200,15 +319,27 @@ def select_features(
       seen in well under one snapshot per unit on average yields a
       quantised 0-or-1 feature that is sampling noise, not phase
       structure (``mean_appearances`` carries the raw per-unit counts).
+
+    The first two filters keep a score above ``max(f_crit, f_floor)``.
+    ``f_crit`` comes from :func:`_f_critical_bracket`: a score at or
+    below ``max(f_floor, lo)`` is out, one above ``max(f_floor, hi)`` is
+    in, and only a score in between asks scipy's exact
+    :func:`_f_critical` — so every decision equals the scipy-only one
+    and a run whose scores all fall outside the bracket never imports
+    scipy.
     """
     n, n_features = X.shape
     scores = univariate_regression_scores(X, ipc)
     if n_features == 0 or n < 3:
         return np.empty(0, dtype=np.intp), scores
-    f_crit = _f_critical(min(1.0, significance / n_features), max(1, n - 2))
+    q, dfd = min(1.0, significance / n_features), max(1, n - 2)
     # Invert F = r²/(1−r²)·(n−2) at the effect-size floor.
     f_floor = min_r2 / (1.0 - min_r2) * (n - 2)
-    eligible = scores > max(f_crit, f_floor)
+    lo, hi = _f_critical_bracket(q, dfd)
+    eligible = scores > max(f_floor, hi)
+    undecided = (scores > max(f_floor, lo)) & ~eligible
+    if undecided.any():
+        eligible |= undecided & (scores > max(_f_critical(q, dfd), f_floor))
     if mean_appearances is not None:
         eligible &= mean_appearances >= min_appearances
     passing = np.nonzero(eligible)[0]

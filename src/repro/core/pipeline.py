@@ -14,26 +14,25 @@ The one-stop entry point a user of the library needs (Figure 2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from repro.core.analysis import CoVReport, cov_report, phase_types
 from repro.core.features import UnitFeaturizer
 from repro.core.phases import PhaseModel, PhaseStats
-from repro.core.profiler import (
-    ProfilerConfig,
-    ProfilerSession,
-    StreamingProfiler,
-    profile_trace,
-)
 from repro.core.sampling import StratifiedEstimate, phase_sample_size
 from repro.core.sampling import select_points as _select_points
 from repro.core.sensitivity import InputSensitivityResult, input_sensitivity_test
-from repro.core.units import JobProfile, SamplingUnit
-from repro.jvm.job import JobTrace
-from repro.jvm.stream import TraceStream
+from repro.core.units import JobProfile, ProfilerConfig, SamplingUnit
 from repro.runtime.instrument import ThroughputMeter, stage_timer
+
+# The profiler (and the trace stream and snapshot machinery it loads)
+# is imported by the methods that profile: a warm report builds
+# ``SimProfConfig`` keys but never profiles.
+if TYPE_CHECKING:
+    from repro.jvm.job import JobTrace
+    from repro.jvm.stream import TraceStream
 
 __all__ = ["ClassifySession", "SimProfConfig", "SimProfResult", "SimProf"]
 
@@ -108,6 +107,8 @@ class SimProf:
 
     def profile(self, trace: JobTrace, thread_id: int | None = None) -> JobProfile:
         """Stage 1: thread profiling."""
+        from repro.core.profiler import profile_trace
+
         return profile_trace(trace, self.config.profiler_config(thread_id))
 
     def profile_stream(
@@ -131,6 +132,8 @@ class SimProf:
         and a killed run resumes bit-identically from its latest
         checkpoint (see :mod:`repro.runtime.checkpoint`).
         """
+        from repro.core.profiler import StreamingProfiler
+
         profiler = StreamingProfiler(self.config.profiler_config(thread_id))
         with stage_timer("stream-profiling") as rec:
             job = profiler.consume(
@@ -227,6 +230,8 @@ class SimProf:
         ``thread_id`` (recommended: the trained profile's thread);
         otherwise units of every thread are classified.
         """
+        from repro.core.profiler import StreamingProfiler
+
         profiler = StreamingProfiler(self.config.profiler_config(thread_id))
         featurizer = UnitFeaturizer(
             model.space, stream.registry, stream.stack_table
@@ -292,6 +297,8 @@ class ClassifySession:
         model: PhaseModel,
         stream: TraceStream,
     ) -> None:
+        from repro.core.profiler import ProfilerSession
+
         self.model = model
         self.profiler = ProfilerSession(config, stream, collect=True)
         self._featurizer = UnitFeaturizer(

@@ -32,12 +32,16 @@ units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from repro.core.units import JobProfile, SamplingUnit, ThreadProfile
+from repro.core.units import (
+    JobProfile,
+    ProfilerConfig,
+    SamplingUnit,
+    ThreadProfile,
+)
 from repro.jvm.job import JobTrace, StageInfo
 from repro.jvm.stream import (
     JobEnd,
@@ -59,42 +63,6 @@ __all__ = [
     "profile_trace",
     "select_thread",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class ProfilerConfig:
-    """Profiling knobs.
-
-    ``thread_id=None`` profiles the busiest executor thread (the paper
-    samples a single executor thread; the busiest one covers every
-    stage).  ``unit_size`` keeps the paper's 100 M-instruction units;
-    ``snapshot_period`` defaults to 2 M rather than the paper's 10 M
-    (see the field comment below).
-    """
-
-    unit_size: int = 100_000_000
-    # The paper polls every 10 M instructions.  With the simulator's
-    # narrower stack vocabulary, 10 samples per unit quantise mixture
-    # fractions into a coarse lattice that manufactures phantom phases,
-    # so the default here is 2 M (50 samples/unit); the ablation bench
-    # covers the paper's 10 M setting.
-    snapshot_period: int = 2_000_000
-    thread_id: int | None = None
-    # Relative jitter of the poll timer: real JVMTI sampling is not
-    # phase-locked to the instruction counter, so the stack mixture a
-    # unit sees carries multinomial sampling noise.
-    snapshot_jitter: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.unit_size <= 0:
-            raise ValueError("unit_size must be positive")
-        if self.snapshot_period <= 0:
-            raise ValueError("snapshot_period must be positive")
-        if self.snapshot_period > self.unit_size:
-            raise ValueError("snapshot_period cannot exceed unit_size")
-        if not 0.0 <= self.snapshot_jitter < 1.0:
-            raise ValueError("snapshot_jitter must be in [0, 1)")
 
 
 def _require_one_unit(thread_id: int, total: int, unit_size: int) -> None:

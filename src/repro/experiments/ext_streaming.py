@@ -6,7 +6,10 @@ consumed live, (2) it does so with a smaller peak footprint because the
 job trace is never materialised, and (3) the online mode can classify
 units against an existing phase model while the job is still running.
 This driver measures all three on one benchmark and renders the
-evidence as a table for the report.
+evidence as a table for the report.  The table prints only what two
+runs agree on: the measured peaks and throughput stay fields of the
+result, and the table says only whether the streaming peak is below
+the batch one.
 """
 
 from __future__ import annotations
@@ -18,8 +21,14 @@ import numpy as np
 
 from repro.core.pipeline import SimProf
 from repro.experiments.common import ExperimentConfig, format_table
+from repro.hdfs import SimulatedHDFS
 from repro.runtime.instrument import get_instrumentation
-from repro.workloads import run_workload, run_workload_stream
+from repro.workloads import (
+    WorkloadInput,
+    get_workload,
+    run_workload,
+    run_workload_stream,
+)
 
 __all__ = ["StreamingComparisonResult", "run_streaming_comparison"]
 
@@ -38,28 +47,18 @@ class StreamingComparisonResult:
     live_agreement: float
     units_per_second: float
 
-    @property
-    def memory_ratio(self) -> float:
-        """Batch peak over streaming peak (>1 means streaming wins)."""
-        return (
-            self.batch_peak_kb / self.stream_peak_kb
-            if self.stream_peak_kb > 0 else float("inf")
-        )
-
     def to_text(self) -> str:
-        """Render the comparison table."""
+        """Render the comparison table (deterministic rows only)."""
         rows = [
             ("units profiled", self.n_units),
             ("phases formed", self.n_phases),
-            ("batch peak memory", f"{self.batch_peak_kb:,.0f} KiB"),
-            ("streaming peak memory", f"{self.stream_peak_kb:,.0f} KiB"),
-            ("peak ratio (batch/stream)", f"{self.memory_ratio:.2f}x"),
+            ("streaming peak below batch peak",
+             "yes" if self.stream_peak_kb < self.batch_peak_kb else "NO"),
             ("simulation points identical",
              "yes" if self.identical_points else "NO"),
             ("phase assignments identical",
              "yes" if self.identical_assignments else "NO"),
             ("live classification agreement", f"{self.live_agreement:.1%}"),
-            ("streaming throughput", f"{self.units_per_second:,.0f} units/s"),
         ]
         return format_table(
             ["measure", "value"],
@@ -81,12 +80,17 @@ def run_streaming_comparison(
     side re-runs the identical workload as a live :class:`TraceStream`.
     Peak memory is ``tracemalloc``'s high-water mark over run+analysis,
     so the batch number includes the materialised :class:`JobTrace` the
-    streaming path never allocates.
+    streaming path never allocates.  A text input is synthesised once,
+    before either window, and the text memo serves it to both runs:
+    at small scales its synthesis outweighs the trace, and whether an
+    earlier stage of the process had already built it would otherwise
+    decide which peak is larger.
     """
     cfg = cfg or ExperimentConfig()
     tool: SimProf = cfg.simprof_tool()
     run_kwargs = dict(scale=cfg.scale, seed=cfg.seed)
 
+    get_workload(workload).prepare_input(SimulatedHDFS(), WorkloadInput(**run_kwargs))
     tracemalloc.start()
     trace = run_workload(workload, framework, **run_kwargs)
     batch = tool.analyze(trace, n_points=n_points)

@@ -413,45 +413,44 @@ class TestSPA011EntropyTaint:
 
 class TestSPA012ResourceLifecycle:
     def test_exception_between_acquire_and_handoff_leaks(self):
-        # A shared-memory hand-off: the block is written and a ref
-        # built before queue.put, but an error in between unwinds past
-        # both the close and the hand-off.
+        # A write-then-rename spill: the file is closed and renamed into
+        # place, but an error while encoding unwinds past both.
         findings = check(
             "SPA012",
-            repro__transport="""
-            from multiprocessing import shared_memory
+            repro__spill="""
+            import os
+            import tempfile
 
-            def ship(queue, data):
-                block = shared_memory.SharedMemory(create=True, size=data.nbytes)
-                view = make_view(block.buf)
-                view[:] = data
-                ref = make_ref(block.name, len(data))
-                block.close()
-                queue.put(ref)
+            def spill(target, data):
+                tmp = tempfile.NamedTemporaryFile(delete=False)
+                payload = encode(data)
+                tmp.write(payload)
+                tmp.close()
+                os.replace(tmp.name, target)
             """,
         )
         assert [f.rule for f in findings] == ["SPA012"]
-        assert "shared-memory block 'block'" in findings[0].message
+        assert "delete=False temp file 'tmp'" in findings[0].message
         assert "exception path" in findings[0].message
 
     def test_reclaiming_handler_before_reraise_is_clean(self):
         findings = check(
             "SPA012",
-            repro__transport="""
-            from multiprocessing import shared_memory
+            repro__spill="""
+            import os
+            import tempfile
 
-            def ship(queue, data):
-                block = shared_memory.SharedMemory(create=True, size=data.nbytes)
+            def spill(target, data):
+                tmp = tempfile.NamedTemporaryFile(delete=False)
                 try:
-                    view = make_view(block.buf)
-                    view[:] = data
-                    ref = make_ref(block.name, len(data))
+                    payload = encode(data)
+                    tmp.write(payload)
                 except BaseException:
-                    block.close()
-                    block.unlink()
+                    tmp.close()
+                    os.unlink(tmp.name)
                     raise
-                block.close()
-                queue.put(ref)
+                tmp.close()
+                os.replace(tmp.name, target)
             """,
         )
         assert findings == []
@@ -459,29 +458,29 @@ class TestSPA012ResourceLifecycle:
     def test_normal_path_without_release_or_escape_leaks(self):
         findings = check(
             "SPA012",
-            repro__transport="""
-            from multiprocessing import shared_memory
+            repro__spill="""
+            import tempfile
 
             def probe():
-                block = shared_memory.SharedMemory(create=True, size=1)
-                return block.name
+                tmp = tempfile.NamedTemporaryFile(delete=False)
+                return tmp.name
             """,
         )
-        # ``block.name`` is an attribute read, not an ownership
-        # transfer: the mapping and the kernel object both leak.
+        # ``tmp.name`` is an attribute read, not an ownership transfer:
+        # the open handle and the file on disk both leak.
         assert len(findings) == 1
         assert "normal path" in findings[0].message
 
     def test_bare_handoff_to_container_is_an_escape(self):
         findings = check(
             "SPA012",
-            repro__transport="""
-            from multiprocessing import shared_memory
+            repro__spill="""
+            import tempfile
 
-            def attach(open_blocks, name):
-                block = shared_memory.SharedMemory(name=name)
-                open_blocks.append(block)
-                return block.buf
+            def open_spill(open_files):
+                tmp = tempfile.NamedTemporaryFile(delete=False)
+                open_files.append(tmp)
+                return tmp.name
             """,
         )
         assert findings == []

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import features
+from repro.core._reference import reference_select_features
 from repro.core.features import (
     FeatureSpace,
+    _f_critical_bracket,
     build_feature_matrix,
     select_features,
     univariate_regression_scores,
@@ -106,6 +110,84 @@ class TestSelectFeatures:
             X, ipc, mean_appearances=raw.mean(axis=0), min_appearances=1e9
         )
         assert len(ids) == 0
+
+
+class TestSelectFeaturesMatchesScipy:
+    """The bracketed F-test decides every method as scipy's value does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 80),
+        n_features=st.integers(0, 12),
+        significance=st.floats(1e-12, 1.0),
+        min_r2=st.floats(0.0, 0.95),
+        top_k=st.integers(1, 15),
+        with_appearances=st.booleans(),
+    )
+    def test_equals_reference(
+        self, seed, n, n_features, significance, min_r2, top_k, with_appearances
+    ):
+        rng = np.random.default_rng(seed)
+        ipc = rng.normal(1.0, 0.3, n)
+        # Columns from pure noise to near-copies of the IPC, so scores
+        # land on both sides of the critical value.
+        strength = rng.uniform(0.0, 3.0, n_features)
+        X = ipc[:, None] * strength + rng.normal(0.0, 1.0, (n, n_features))
+        appearances = rng.uniform(0.0, 2.0, n_features) if with_appearances else None
+        kwargs = dict(
+            top_k=top_k,
+            significance=significance,
+            mean_appearances=appearances,
+            min_r2=min_r2,
+        )
+        ids, scores = select_features(X, ipc, **kwargs)
+        ref_ids, ref_scores = reference_select_features(X, ipc, **kwargs)
+        np.testing.assert_array_equal(ids, ref_ids)
+        np.testing.assert_array_equal(scores, ref_scores)
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(3)
+        ipc = rng.normal(1.0, 0.3, 50)
+        X = np.column_stack([ipc + rng.normal(0.0, 0.8, 50), rng.normal(0, 1, 50)])
+        return X, ipc
+
+    def _count_scipy_calls(self, monkeypatch):
+        calls = []
+        exact = features._f_critical
+
+        def counted(q, dfd):
+            calls.append((q, dfd))
+            return exact(q, dfd)
+
+        monkeypatch.setattr(features, "_f_critical", counted)
+        return calls
+
+    def test_score_inside_the_bracket_asks_scipy(self, monkeypatch):
+        from scipy import special
+
+        X, ipc = self._data()
+        score = univariate_regression_scores(X, ipc)[0]
+        dfd = len(ipc) - 2
+        # The significance whose critical value is this very score.
+        q = float(special.fdtrc(1, dfd, score))
+        significance = q * X.shape[1]
+        lo, hi = _f_critical_bracket(min(1.0, significance / X.shape[1]), dfd)
+        assert lo < score <= hi
+        calls = self._count_scipy_calls(monkeypatch)
+        kwargs = dict(significance=significance, min_r2=0.0)
+        ids, _ = select_features(X, ipc, **kwargs)
+        assert len(calls) == 1
+        ref_ids, _ = reference_select_features(X, ipc, **kwargs)
+        np.testing.assert_array_equal(ids, ref_ids)
+
+    def test_scores_outside_the_bracket_leave_scipy_alone(self, monkeypatch):
+        X, ipc = self._data()
+        calls = self._count_scipy_calls(monkeypatch)
+        ids, _ = select_features(X, ipc, significance=0.01, min_r2=0.0)
+        assert calls == []
+        assert ids.tolist() == [0]
 
 
 class TestFeatureSpace:

@@ -144,13 +144,15 @@ class TestTextParity:
         ],
     )
     def test_synthesize_text(self, spec, seed):
-        assert synthesize_text(spec, seed) == _reference_synthesize_text(spec, seed)
+        assert synthesize_text(spec, seed) == tuple(
+            _reference_synthesize_text(spec, seed)
+        )
 
     @pytest.mark.parametrize("seed", [0, 4])
     @pytest.mark.parametrize("n_classes", [1, 12])
     def test_synthesize_labeled_text(self, seed, n_classes):
         spec = TextSpec(n_lines=250, vocab_size=1600)
-        assert synthesize_labeled_text(spec, n_classes, seed) == (
+        assert synthesize_labeled_text(spec, n_classes, seed) == tuple(
             _reference_synthesize_labeled_text(spec, n_classes, seed)
         )
 

@@ -110,3 +110,25 @@ class TestSynthesizeLabeledText:
     def test_rejects_bad_classes(self):
         with pytest.raises(ValueError):
             synthesize_labeled_text(TextSpec(n_lines=10), 0, seed=0)
+
+
+class TestMemo:
+    """A process builds each corpus once; a hit equals a fresh build."""
+
+    def test_text_hit_equals_unmemoised_build(self):
+        spec = TextSpec(n_lines=120, vocab_size=400)
+        first = synthesize_text(spec, 5)
+        hits = synthesize_text.cache_info().hits
+        assert synthesize_text(spec, 5) is first
+        assert synthesize_text.cache_info().hits == hits + 1
+        assert isinstance(first, tuple)
+        assert first == synthesize_text.__wrapped__(spec, 5)
+
+    def test_labeled_hit_equals_unmemoised_build(self):
+        spec = TextSpec(n_lines=120, vocab_size=400)
+        first = synthesize_labeled_text(spec, 3, 5, class_skew=1.5)
+        assert synthesize_labeled_text(spec, 3, 5, class_skew=1.5) is first
+        assert isinstance(first, tuple)
+        assert first == synthesize_labeled_text.__wrapped__(
+            spec, 3, 5, class_skew=1.5
+        )

@@ -110,3 +110,35 @@ class TestExtensionDrivers:
         assert result.all_replays_identical  # same plan, same faults
         assert result.all_within_ci
         assert "fault" in result.to_text().lower()
+
+
+class TestStreamingComparisonText:
+    def _result(self, **measured):
+        from repro.experiments.ext_streaming import StreamingComparisonResult
+
+        fields = dict(
+            label="wc_sp",
+            n_units=120,
+            n_phases=2,
+            batch_peak_kb=24_096.0,
+            stream_peak_kb=22_683.0,
+            identical_points=True,
+            identical_assignments=True,
+            live_agreement=1.0,
+            units_per_second=416.0,
+        )
+        return StreamingComparisonResult(**{**fields, **measured})
+
+    def test_measured_fields_do_not_reach_the_text(self):
+        first = self._result()
+        second = self._result(
+            batch_peak_kb=23_950.0, stream_peak_kb=23_170.0, units_per_second=343.0
+        )
+        assert first.to_text() == second.to_text()
+        assert "streaming peak below batch peak | yes" in first.to_text()
+        for measured in ("KiB", "units/s", "416", "22,683"):
+            assert measured not in first.to_text()
+
+    def test_a_larger_streaming_peak_reads_no(self):
+        text = self._result(stream_peak_kb=30_000.0).to_text()
+        assert "streaming peak below batch peak | NO" in text
